@@ -60,11 +60,6 @@ bench/baseline/ and fails (exit 1) when:
      at most MULTIWAY_INTERMEDIATE_FRACTION (0.5x) of the binary plan's
      max intermediate — the operator's whole point is refusing to
      materialize the blown-up binary intermediate.
-  11. The sharded-scan fast path stops engaging: the `sharded` cell in
-     `containment_ms` (the parallel plan over a snapshot pre-sharded on
-     the partitioning column) must record `sharded_skipped_passes >= 1`
-     at the largest group count — shard-aligned scans exist to skip the
-     partition pass, so zero skips means the alignment detection broke.
 
 Whenever a gate disarms (skips) instead of judging, the skip message
 prints the runner fingerprint — hardware_threads and git_sha — of the
@@ -132,7 +127,7 @@ TRACKED = {
         "groups",
         "inverted-index",
         ["signature-nested-loop", "partitioned", "cost-based", "batched",
-         "parallel", "sharded", "prepared"],
+         "parallel", "prepared"],
     ),
     "equality_ms": ("groups", "canonical-hash",
                     ["cost-based", "batched", "parallel", "prepared"]),
@@ -143,7 +138,7 @@ TRACKED = {
 # Columns whose timings are only meaningful on multi-core runners: their
 # baseline drift comparison arms itself from the baseline snapshot's own
 # hardware_threads field (see check_against_baseline).
-MULTICORE_COLUMNS = {"parallel", "sharded"}
+MULTICORE_COLUMNS = {"parallel"}
 
 EXPECTED_CHOICES = {
     "runtime_ms": ("chosen_division", "hash-division"),
@@ -417,43 +412,6 @@ def check_calibrated_ratio(errors, data):
         )
 
 
-def check_sharded_skip(errors, data):
-    """Gate 11: the sharded run must actually skip the partition pass.
-
-    The `sharded` cell executes the parallel containment plan over a
-    snapshot pre-sharded on the plan's partitioning column; the executor
-    must consume the shards directly, and it records how many partition
-    passes it skipped. Zero means the alignment fast path silently
-    stopped engaging — a plan-shape property, so this gate is
-    machine-independent and always armed.
-    """
-    rows = data.get("containment_ms", [])
-    if not rows:
-        errors.append("containment_ms table missing from BENCH_setjoin.json")
-        return
-    row = max_row(rows, "groups")
-    groups = row["groups"]
-    skipped = row.get("sharded_skipped_passes")
-    if skipped is None:
-        errors.append(
-            f"'sharded_skipped_passes' missing from containment_ms at "
-            f"groups={groups}"
-        )
-        return
-    if skipped < 1:
-        errors.append(
-            f"sharded containment at groups={groups} skipped {skipped} "
-            f"partition passes, expected >= 1 — the shard-aligned scan fast "
-            f"path no longer engages"
-        )
-    else:
-        print(
-            f"  ok: sharded containment skipped {skipped} partition pass(es) "
-            f"at groups={groups} (sharded={row.get('sharded')}ms, "
-            f"parallel={row.get('parallel')}ms)"
-        )
-
-
 def check_multiway_bound(errors, data):
     """Gate 10: worst-case-optimal invariants on the skewed triangle."""
     rows = data.get("multiway_ms", [])
@@ -661,7 +619,6 @@ def main():
         if name == "BENCH_setjoin.json":
             check_calibrated_ratio(errors, current)
             check_multiway_bound(errors, current)
-            check_sharded_skip(errors, current)
         for table in tables:
             check_choices(errors, current, table)
             check_against_baseline(errors, current, baseline, table)

@@ -108,15 +108,6 @@ class BatchIterator {
 
   /// True when no tuple is emitted twice across the stream's lifetime.
   virtual bool distinct() const { return false; }
-
-  /// Declares that the consumer read this scan stream's relation from
-  /// pre-sharded storage instead of draining it (the shard-aligned fast
-  /// path, engine/parallel.h): `rows` is the stored relation's size —
-  /// exactly what a full drain would have produced. Called between
-  /// Open() and Close() in place of any NextBatch() calls. Default no-op;
-  /// instrumented pipeline edges account the rows so per-operator
-  /// PlanStats stay identical whether or not the stream was bypassed.
-  virtual void AccountBypassedScan(std::size_t rows) { (void)rows; }
 };
 
 /// Opens `input`, drains it fully into a relation, and closes it.

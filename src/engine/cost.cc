@@ -502,8 +502,7 @@ constexpr double kTaskDispatch = 2000.0;
 CostEstimate CostModel::EstimatePartitioned(const CostEstimate& serial,
                                             double input_cardinality,
                                             std::size_t partitions,
-                                            std::size_t threads,
-                                            bool aligned) const {
+                                            std::size_t threads) const {
   const double p = NonZero(static_cast<double>(partitions));
   const double waves =
       std::ceil(p / NonZero(static_cast<double>(threads)));
@@ -512,10 +511,7 @@ CostEstimate CostModel::EstimatePartitioned(const CostEstimate& serial,
   // Partition slices replace the serial kernel's working set; the merge
   // buffers the same output once more.
   est.max_intermediate = serial.max_intermediate + serial.output_size;
-  // A shard-aligned input needs no partitioning pass: the stored shards
-  // are the partitions (engine::ShardAlignedSlices).
-  const double split = aligned ? 0.0 : kPartitionTuple * NonZero(input_cardinality);
-  est.cost = split                                         // Serial split.
+  est.cost = kPartitionTuple * NonZero(input_cardinality)  // Serial split.
              + serial.cost * waves / p                     // Kernel, in waves.
              + kTaskDispatch * p                           // Fan-out/fan-in sync.
              + kTupleOp * serial.output_size;              // Serial merge.
@@ -525,14 +521,13 @@ CostEstimate CostModel::EstimatePartitioned(const CostEstimate& serial,
 CostModel::ParallelChoice CostModel::ChooseParallelism(const CostEstimate& serial,
                                                        double input_cardinality,
                                                        double key_distinct,
-                                                       std::size_t threads,
-                                                       bool aligned) const {
+                                                       std::size_t threads) const {
   if (threads <= 1) return {1, serial};
   const std::size_t partitions = static_cast<std::size_t>(std::max(
       1.0, std::min(static_cast<double>(threads), NonZero(key_distinct))));
   if (partitions <= 1) return {1, serial};
   const CostEstimate partitioned =
-      EstimatePartitioned(serial, input_cardinality, partitions, threads, aligned);
+      EstimatePartitioned(serial, input_cardinality, partitions, threads);
   if (partitioned.cost < serial.cost) return {partitions, partitioned};
   return {1, serial};
 }

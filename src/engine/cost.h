@@ -187,15 +187,11 @@ class CostModel {
   /// model prices partition counts): a serial partitioning pass over the
   /// `input_cardinality` tuples, the kernel work spread over
   /// ceil(partitions / threads) waves, a per-partition dispatch overhead,
-  /// and a serial merge of the per-partition outputs. `aligned` declares
-  /// the input pre-partitioned in storage (a scan of a relation sharded
-  /// on the partitioning column — engine::ShardAlignedSlices): the
-  /// partitioning-pass term drops to zero.
+  /// and a serial merge of the per-partition outputs.
   CostEstimate EstimatePartitioned(const CostEstimate& serial,
                                    double input_cardinality,
                                    std::size_t partitions,
-                                   std::size_t threads,
-                                   bool aligned = false) const;
+                                   std::size_t threads) const;
 
   struct ParallelChoice {
     /// 1 = stay serial; otherwise the chosen fan-out width.
@@ -206,11 +202,9 @@ class CostModel {
   /// `threads` ways (capped by `key_distinct` — more partitions than
   /// groups only buys empty tasks) iff that prices below the serial
   /// alternative. With threads <= 1 the answer is always serial.
-  /// `aligned` as in EstimatePartitioned.
   ParallelChoice ChooseParallelism(const CostEstimate& serial,
                                    double input_cardinality,
-                                   double key_distinct, std::size_t threads,
-                                   bool aligned = false) const;
+                                   double key_distinct, std::size_t threads) const;
 
   // -- Semijoin ------------------------------------------------------------
 

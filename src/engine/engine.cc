@@ -154,12 +154,6 @@ class InstrumentedIterator final : public BatchIterator {
 
   bool NextBatch(Batch& out) override;
 
-  // A bypassed scan stream still produces its operator's stats entry —
-  // the rows the consumer read from sharded storage are exactly what a
-  // full drain would have counted, so per-op PlanStats (and the budget
-  // check) match the materializing executor either way.
-  void AccountBypassedScan(std::size_t rows) override;
-
  private:
   bool NextDeduped(Batch& out);
   void FinalizeOnce();
@@ -330,12 +324,6 @@ bool InstrumentedIterator::NextDeduped(Batch& out) {
   }
   rows_ += out.size();
   return true;
-}
-
-void InstrumentedIterator::AccountBypassedScan(std::size_t rows) {
-  rows_ += rows;
-  executor_->CheckBudget(op_, rows_);
-  FinalizeOnce();
 }
 
 void InstrumentedIterator::FinalizeOnce() {

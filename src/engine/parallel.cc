@@ -1,10 +1,8 @@
 #include "engine/parallel.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "setjoin/grouped.h"
-#include "stats/stats.h"
 #include "util/check.h"
 
 namespace setalg::engine {
@@ -89,72 +87,6 @@ std::vector<core::Relation> PartitionByColumn(const core::Relation& relation,
   // sorted and duplicate-free: normalization is the no-op fast path.
   for (auto& partition : out) partition.Normalize();
   return out;
-}
-
-std::optional<std::vector<ShardSlice>> ShardAlignedSlices(
-    const core::DatabaseView& db, const std::string& source, std::size_t column,
-    std::size_t target_tasks, bool allow_split) {
-  const auto* sharded = dynamic_cast<const core::ShardedView*>(&db);
-  if (sharded == nullptr || column == 0 ||
-      sharded->shard_key_column(source) != column) {
-    return std::nullopt;
-  }
-  const std::size_t shard_count = sharded->shard_count();
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    total += sharded->shard(source, s).size();
-  }
-  // Rows per slice above which a shard is subdivided. Splitting is only
-  // sound on column 1: normalized storage sorts by it, so each key's run
-  // is contiguous and a cut at a key boundary keeps groups whole. The
-  // group-size histogram gives the split floor — no slice can be smaller
-  // than the largest single group.
-  std::size_t target = 0;
-  if (allow_split && column == 1 && target_tasks > 0 && total > 0) {
-    target = (total + target_tasks - 1) / target_tasks;
-    if (const auto* provider = dynamic_cast<const stats::StatsProvider*>(&db)) {
-      if (const auto* stats = provider->Get(source);
-          stats != nullptr && stats->arity == 2 && stats->groups.num_groups > 0) {
-        target = std::max(target, stats->groups.max_group_size);
-      }
-    }
-  }
-  std::vector<ShardSlice> slices;
-  slices.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    const core::Relation& shard = sharded->shard(source, s);
-    if (target == 0 || shard.size() <= 2 * target || shard.arity() == 0) {
-      slices.emplace_back();
-      slices.back().borrowed = &shard;
-      continue;
-    }
-    const std::size_t arity = shard.arity();
-    std::size_t begin = 0;
-    while (begin < shard.size()) {
-      std::size_t end = std::min(begin + target, shard.size());
-      // Advance the cut to the next key boundary so no group spans slices.
-      while (end < shard.size() &&
-             shard.tuple(end)[0] == shard.tuple(end - 1)[0]) {
-        ++end;
-      }
-      ShardSlice slice;
-      slice.owned = core::Relation(arity);
-      slice.owned.Reserve(end - begin);
-      slice.owned.AddRows(shard.flat().data() + begin * arity, end - begin);
-      // A key-contiguous range of a normalized relation is itself
-      // normalized, so this is the no-op fast path.
-      slice.owned.Normalize();
-      slices.push_back(std::move(slice));
-      begin = end;
-    }
-  }
-  return slices;
-}
-
-void ConsumeBypassedScan(BatchIterator* stream, std::size_t rows) {
-  stream->Open();
-  stream->AccountBypassedScan(rows);
-  stream->Close();
 }
 
 void PartitionedIterator::Open() {

@@ -38,12 +38,9 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "core/database.h"
 #include "core/relation.h"
 #include "engine/batch.h"
 #include "engine/physical.h"
@@ -95,42 +92,6 @@ class WorkerPool {
 std::vector<core::Relation> PartitionByColumn(const core::Relation& relation,
                                               std::size_t column,
                                               std::size_t partitions);
-
-/// One shard-aligned partition input (ShardAlignedSlices): a borrowed
-/// whole stored shard, or an owned key-contiguous sub-range of a heavy
-/// shard. The borrowed relation must outlive the slice (stored shards
-/// are owned by the run's snapshot, which does).
-struct ShardSlice {
-  const core::Relation* borrowed = nullptr;
-  core::Relation owned{0};
-
-  const core::Relation& get() const {
-    return borrowed != nullptr ? *borrowed : owned;
-  }
-};
-
-/// The storage-aligned fast path of the partitioned operators: when the
-/// run's database stores `source` pre-sharded on `column`
-/// (core::ShardedView — txn::ShardedDatabase snapshots), returns the
-/// shards as ready-made partition inputs so the operator can skip its
-/// partition pass. With `allow_split` (effective only for column 1,
-/// whose key runs are contiguous in sorted storage), heavy-hitter
-/// shards are subdivided at key boundaries toward `target_tasks` total
-/// slices — the split floor is the largest group size from the view's
-/// statistics, since a single key's rows can never span tasks — so one
-/// hot shard does not serialize the fan-out. Pass allow_split=false
-/// when slices must pair index-for-index with a co-partitioned side
-/// (semijoin). Returns nullopt when the database is not sharded on
-/// (source, column).
-std::optional<std::vector<ShardSlice>> ShardAlignedSlices(
-    const core::DatabaseView& db, const std::string& source, std::size_t column,
-    std::size_t target_tasks, bool allow_split);
-
-/// Marks a scan stream whose relation the caller read straight from
-/// sharded storage as consumed: opens it, accounts its `rows` (see
-/// BatchIterator::AccountBypassedScan) and closes it, so per-operator
-/// instrumentation and the iterator contract hold without a drain.
-void ConsumeBypassedScan(BatchIterator* stream, std::size_t rows);
 
 /// One partition's work: computes that partition's share of the
 /// operator's output. Runs on a worker thread; must only touch state

@@ -740,86 +740,6 @@ class SemiJoinOp final : public PhysicalOp {
         const std::size_t right_arity = child(1)->arity();
         const bool fast = strategy_ == SemijoinStrategy::kFastKernel;
         const auto* atoms = &atoms_;
-        // Shard-aligned fast path: a side scanned straight from storage
-        // sharded on its co-partitioning column is already routed exactly
-        // the way PartitionByColumn routes (both use
-        // setjoin::PartitionOfKey), so its partition pass can be skipped
-        // and the shards paired index-for-index with the other side's
-        // partitions. Partition count is pinned to the shard count so the
-        // pairing stays aligned; no shard splitting (a split slice would
-        // break the index pairing).
-        if (const auto* sharded =
-                dynamic_cast<const core::ShardedView*>(&ctx.db());
-            sharded != nullptr && sharded->shard_count() > 1) {
-          const std::size_t shard_parts = sharded->shard_count();
-          const auto slice_side =
-              [&](const PhysicalOp* side,
-                  std::size_t column) -> std::shared_ptr<std::vector<ShardSlice>> {
-            const std::string* name = side->scan_relation();
-            if (name == nullptr) return nullptr;
-            auto slices =
-                ShardAlignedSlices(ctx.db(), *name, column, shard_parts, false);
-            if (!slices.has_value()) return nullptr;
-            return std::make_shared<std::vector<ShardSlice>>(std::move(*slices));
-          };
-          auto left_slices = slice_side(child(0).get(), eq->left);
-          auto right_slices = slice_side(child(1).get(), eq->right);
-          if (left_slices != nullptr || right_slices != nullptr) {
-            const std::size_t left_rows =
-                left_slices ? ctx.db().relation(*child(0)->scan_relation()).size()
-                            : 0;
-            const std::size_t right_rows =
-                right_slices
-                    ? ctx.db().relation(*child(1)->scan_relation()).size()
-                    : 0;
-            const std::size_t eq_left = eq->left;
-            const std::size_t eq_right = eq->right;
-            ExecContext* ctx_ptr = &ctx;
-            return std::make_unique<PartitionedIterator>(
-                ctx, arity(), std::move(inputs),
-                [shard_parts, batch_size, left_arity, right_arity, fast, atoms,
-                 left_slices, right_slices, left_rows, right_rows, eq_left,
-                 eq_right,
-                 ctx_ptr](std::vector<std::unique_ptr<BatchIterator>>& streams) {
-                  auto left_parts = std::make_shared<std::vector<Relation>>();
-                  auto right_parts = std::make_shared<std::vector<Relation>>();
-                  if (left_slices != nullptr) {
-                    ctx_ptr->CountSkippedPartitionPass();
-                    ConsumeBypassedScan(streams[0].get(), left_rows);
-                  } else {
-                    const MaterializedInput left = MaterializedInput::From(
-                        streams[0].get(), left_arity, batch_size);
-                    *left_parts =
-                        PartitionByColumn(left.get(), eq_left, shard_parts);
-                  }
-                  if (right_slices != nullptr) {
-                    ctx_ptr->CountSkippedPartitionPass();
-                    ConsumeBypassedScan(streams[1].get(), right_rows);
-                  } else {
-                    const MaterializedInput right = MaterializedInput::From(
-                        streams[1].get(), right_arity, batch_size);
-                    *right_parts =
-                        PartitionByColumn(right.get(), eq_right, shard_parts);
-                  }
-                  std::vector<PartitionTask> tasks;
-                  tasks.reserve(shard_parts);
-                  for (std::size_t p = 0; p < shard_parts; ++p) {
-                    tasks.push_back([left_slices, right_slices, left_parts,
-                                     right_parts, p, fast, atoms] {
-                      const Relation& l = left_slices != nullptr
-                                              ? (*left_slices)[p].get()
-                                              : (*left_parts)[p];
-                      const Relation& r = right_slices != nullptr
-                                              ? (*right_slices)[p].get()
-                                              : (*right_parts)[p];
-                      return fast ? sa::Semijoin(l, r, *atoms)
-                                  : GenericSemijoinRelation(l, r, *atoms);
-                    });
-                  }
-                  return tasks;
-                });
-          }
-        }
         return std::make_unique<PartitionedIterator>(
             ctx, arity(), std::move(inputs),
             [parts, batch_size, left_arity, right_arity, fast, eq,
@@ -983,41 +903,6 @@ class DivisionOp final : public PhysicalOp {
       const std::size_t batch_size = ctx.batch_size();
       const auto algorithm = algorithm_;
       const bool equality = equality_;
-      // Shard-aligned fast path: a dividend scanned straight from storage
-      // that is sharded on the group-key column is already partitioned
-      // exactly the way PartitionByColumn would — feed the stored shards
-      // (heavy ones subdivided at key boundaries) to the workers and skip
-      // the partition pass.
-      if (const std::string* name = child(0)->scan_relation()) {
-        if (auto aligned = ShardAlignedSlices(ctx.db(), *name, 1, parts, true)) {
-          auto slices =
-              std::make_shared<std::vector<ShardSlice>>(std::move(*aligned));
-          const std::size_t rows = ctx.db().relation(*name).size();
-          ExecContext* ctx_ptr = &ctx;
-          return std::make_unique<PartitionedIterator>(
-              ctx, arity(), std::move(inputs),
-              [slices, rows, batch_size, algorithm, equality,
-               ctx_ptr](std::vector<std::unique_ptr<BatchIterator>>& streams) {
-                ctx_ptr->CountSkippedPartitionPass();
-                ConsumeBypassedScan(streams[0].get(), rows);
-                auto divisor = std::make_shared<MaterializedInput>(
-                    MaterializedInput::From(streams[1].get(), 1, batch_size));
-                divisor->get().Normalize();
-                std::vector<PartitionTask> tasks;
-                tasks.reserve(slices->size());
-                for (std::size_t p = 0; p < slices->size(); ++p) {
-                  tasks.push_back([slices, divisor, p, algorithm, equality] {
-                    const Relation& slice = (*slices)[p].get();
-                    return equality ? setjoin::DivideEqual(slice, divisor->get(),
-                                                           algorithm)
-                                    : setjoin::Divide(slice, divisor->get(),
-                                                      algorithm);
-                  });
-                }
-                return tasks;
-              });
-        }
-      }
       return std::make_unique<PartitionedIterator>(
           ctx, arity(), std::move(inputs),
           [parts, batch_size, algorithm,
@@ -1073,53 +958,16 @@ class DivisionOp final : public PhysicalOp {
 
 // The shared fan-out plan of the partitioned set joins: `kernel` is the
 // serial per-partition kernel (left partition × whole right side).
-// `left_child` (may be null) lets the shard-aligned fast path recognize a
-// left side scanned straight from storage sharded on the set-key column:
-// the stored shards already respect group boundaries (shard routing and
-// PartitionByKey share setjoin::PartitionOfKey), so the drain-and-
-// partition pass is skipped and each task groups its own slice.
 std::unique_ptr<BatchIterator> MakePartitionedSetJoin(
     ExecContext& ctx, std::vector<std::unique_ptr<BatchIterator>> inputs,
     std::size_t parts,
     std::function<Relation(const setjoin::GroupedRelation&,
                            const setjoin::GroupedRelation&)>
-        kernel,
-    const PhysicalOp* left_child) {
+        kernel) {
   const std::size_t batch_size = ctx.batch_size();
   auto shared_kernel = std::make_shared<
       std::function<Relation(const setjoin::GroupedRelation&,
                              const setjoin::GroupedRelation&)>>(std::move(kernel));
-  if (left_child != nullptr) {
-    if (const std::string* name = left_child->scan_relation()) {
-      if (auto aligned = ShardAlignedSlices(ctx.db(), *name, 1, parts, true)) {
-        auto slices =
-            std::make_shared<std::vector<ShardSlice>>(std::move(*aligned));
-        const std::size_t rows = ctx.db().relation(*name).size();
-        ExecContext* ctx_ptr = &ctx;
-        return std::make_unique<PartitionedIterator>(
-            ctx, 2, std::move(inputs),
-            [slices, rows, batch_size, shared_kernel,
-             ctx_ptr](std::vector<std::unique_ptr<BatchIterator>>& streams) {
-              ctx_ptr->CountSkippedPartitionPass();
-              ConsumeBypassedScan(streams[0].get(), rows);
-              auto right = std::make_shared<setjoin::GroupedRelation>(
-                  DrainGrouped(streams[1].get(), batch_size));
-              std::vector<PartitionTask> tasks;
-              tasks.reserve(slices->size());
-              for (std::size_t p = 0; p < slices->size(); ++p) {
-                tasks.push_back([slices, right, p, shared_kernel] {
-                  // Grouping the slice happens on the worker, so the
-                  // serial partition pass's grouping cost is parallelized
-                  // too, not just skipped.
-                  return (*shared_kernel)(
-                      setjoin::AsGrouped((*slices)[p].get()), *right);
-                });
-              }
-              return tasks;
-            });
-      }
-    }
-  }
   return std::make_unique<PartitionedIterator>(
       ctx, 2, std::move(inputs),
       [parts, batch_size,
@@ -1166,8 +1014,7 @@ class SetContainmentJoinOp final : public PhysicalOp {
           [algorithm](const setjoin::GroupedRelation& l,
                       const setjoin::GroupedRelation& r) {
             return setjoin::SetContainmentJoin(l, r, algorithm);
-          },
-          child(0).get());
+          });
     }
     return std::make_unique<BlockingIterator>(
         std::move(inputs),
@@ -1216,8 +1063,7 @@ class SetEqualityJoinOp final : public PhysicalOp {
           [algorithm](const setjoin::GroupedRelation& l,
                       const setjoin::GroupedRelation& r) {
             return setjoin::SetEqualityJoin(l, r, algorithm);
-          },
-          child(0).get());
+          });
     }
     return std::make_unique<BlockingIterator>(
         std::move(inputs),
@@ -1259,8 +1105,7 @@ class SetOverlapJoinOp final : public PhysicalOp {
           ctx, std::move(inputs), parts,
           [](const setjoin::GroupedRelation& l, const setjoin::GroupedRelation& r) {
             return setjoin::SetOverlapJoin(l, r);
-          },
-          child(0).get());
+          });
     }
     return std::make_unique<BlockingIterator>(
         std::move(inputs),

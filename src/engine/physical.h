@@ -120,20 +120,13 @@ struct PlanStats {
   std::size_t peak_batch_bytes = 0;
   /// Worker threads available to the run (EngineOptions::threads; 1 for a
   /// serial run). Partitioned operators never change results or the row
-  /// counts above — this field, `partitions`, and
-  /// `partition_passes_skipped` are the only stats that may differ
+  /// counts above — these two fields are the only stats that may differ
   /// between a serial and a parallel run of the same plan.
   std::size_t threads_used = 1;
   /// Partition tasks executed by partitioned operators, summed across the
   /// run (0 when every operator ran serial). Deterministic for fixed
   /// options: partition counts are resolved per operator, never from load.
   std::size_t partitions = 0;
-  /// Partition passes partitioned operators skipped because the scanned
-  /// source was stored pre-sharded on the operator's partitioning column
-  /// (the core::ShardedView alignment fast path, one count per bypassed
-  /// input side). Like `partitions`, purely an execution-strategy
-  /// counter: results and per-operator row counts are unchanged.
-  std::size_t partition_passes_skipped = 0;
   /// The AGM (fractional edge cover) output bound of the first join chain
   /// the planner collected into a hypergraph, in tuples — the provable
   /// worst-case output size the multiway router budgets against. Present
@@ -188,12 +181,6 @@ class ExecContext {
   /// driving thread only (PartitionedIterator::Open after the fan-in).
   void CountPartitions(std::size_t partitions) {
     if (stats_ != nullptr) stats_->partitions += partitions;
-  }
-
-  /// Records one input side a partitioned operator fed from pre-sharded
-  /// storage instead of running its partition pass. Driving thread only.
-  void CountSkippedPartitionPass() {
-    if (stats_ != nullptr) ++stats_->partition_passes_skipped;
   }
 
  private:
