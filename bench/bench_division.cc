@@ -112,9 +112,9 @@ std::vector<RuntimeRow> PrintRuntimeTable() {
   for (auto algorithm : setjoin::AllDivisionAlgorithms()) {
     std::printf("  %-13s", setjoin::DivisionAlgorithmToString(algorithm));
   }
-  std::printf("  %-13s  %-13s  %-13s  %-13s  %-13s  %-13s  %-13s\n",
-              "extalg-linear", "engine-planned", "cost-based", "batched",
-              "parallel", "prepared", "result-cached");
+  std::printf("  %-13s  %-13s  %-13s  %-13s  %-13s  %-13s\n",
+              "extalg-linear", "engine-planned", "cost-based", "parallel",
+              "prepared", "result-cached");
   for (std::size_t n : {1000u, 2000u, 4000u, 8000u, 16000u}) {
     const auto instance = Instance(n);
     RuntimeRow row;
@@ -177,20 +177,13 @@ std::vector<RuntimeRow> PrintRuntimeTable() {
       }
     }
     {
-      // Same plan again, executed through the pipelined batch surface; the
-      // CI gate holds this within 1.1x of the materializing engine.
-      auto [ms, result] = run_engine(engine::EngineOptions::Batched(), "batched");
-      std::printf("  %-13.3f", ms);
-      row.cells.emplace_back("batched", ms);
-    }
-    {
-      // The batched plan with a worker pool: the division operator fans
-      // out across hash partitions of the dividend. The CI gate requires
-      // this to beat the serial batched run at the largest n whenever the
-      // runner has >= 2 hardware threads.
+      // The engine-planned plan with a worker pool: the division operator
+      // fans out across hash partitions of the dividend. The CI gate
+      // requires this to beat the serial engine-planned run at the largest
+      // n whenever the runner has >= 2 hardware threads.
       const std::size_t threads = ParallelThreads();
       auto [ms, result] =
-          run_engine(engine::EngineOptions::Parallel(threads), "parallel");
+          run_engine(engine::EngineOptions{}.WithThreads(threads), "parallel");
       std::printf("  %-13.3f", ms);
       row.cells.emplace_back("parallel", ms);
       row.threads = result.stats.threads_used;
@@ -331,7 +324,7 @@ void WriteJson(const std::vector<RuntimeRow>& runtime,
   util::JsonWriter json;
   json.BeginObject();
   json.Key("bench").Value("division");
-  // The regression gate only trusts the parallel-vs-batched comparison on
+  // The regression gate only trusts the parallel-vs-serial comparison on
   // multi-core runners; single-core machines record the column but skip
   // the gate. The git SHA attributes the artifact (and thus the checked-in
   // baseline snapshot) to the commit it was built from.
@@ -434,22 +427,11 @@ void BM_CostBasedDivision(benchmark::State& state) {
 }
 BENCHMARK(BM_CostBasedDivision)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
 
-void BM_BatchedDivision(benchmark::State& state) {
-  const auto instance = Instance(static_cast<std::size_t>(state.range(0)));
-  const auto db = InstanceDb(instance);
-  const auto expr = setjoin::ClassicDivisionExpr("R", "S");
-  const engine::Engine engine(engine::EngineOptions::Batched());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Run(expr, db));
-  }
-}
-BENCHMARK(BM_BatchedDivision)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
-
 void BM_ParallelDivision(benchmark::State& state) {
   const auto instance = Instance(static_cast<std::size_t>(state.range(0)));
   const auto db = InstanceDb(instance);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
-  const engine::Engine engine(engine::EngineOptions::Parallel(ParallelThreads()));
+  const engine::Engine engine(engine::EngineOptions{}.WithThreads(ParallelThreads()));
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.Run(expr, db));
   }

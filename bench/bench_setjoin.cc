@@ -68,10 +68,10 @@ std::size_t ParallelThreads() {
   return std::max(2u, std::min(4u, hw == 0 ? 2u : hw));
 }
 
-// Best-of-3 wall time of a hand-built set-join plan executed through the
-// pipelined batch surface (batched/parallel columns; the engine run
-// includes the scans and grouping the kernel-direct cells do outside the
-// timer). `stats_out`, when non-null, receives the last run's stats.
+// Best-of-3 wall time of a hand-built set-join plan executed by the
+// engine (serial/parallel columns; the engine run includes the scans and
+// grouping the kernel-direct cells do outside the timer). `stats_out`,
+// when non-null, receives the last run's stats.
 double EnginePlanMillis(const core::Database& db, engine::PhysicalOpPtr root,
                         const char* what, const engine::EngineOptions& options,
                         engine::PlanStats* stats_out = nullptr) {
@@ -133,7 +133,7 @@ struct ContainmentRow {
   std::size_t matches = 0;
   std::string chosen;  // Algorithm the cost model picked.
   double chosen_ms = 0.0;
-  double batched_ms = 0.0;   // Engine plan through the batch surface.
+  double serial_ms = 0.0;    // Engine plan, serial.
   double parallel_ms = 0.0;  // Same plan with a worker pool.
   double prepared_ms = 0.0;  // Same plan through a prepared handle.
   std::size_t threads = 0;
@@ -147,7 +147,7 @@ struct EqualityRow {
   std::size_t matches = 0;
   std::string chosen;  // Algorithm the cost model picked.
   double chosen_ms = 0.0;
-  double batched_ms = 0.0;   // Engine plan through the batch surface.
+  double serial_ms = 0.0;    // Engine plan, serial.
   double parallel_ms = 0.0;  // Same plan with a worker pool.
   double prepared_ms = 0.0;  // Same plan through a prepared handle.
   std::size_t threads = 0;
@@ -161,7 +161,7 @@ std::vector<ContainmentRow> PrintContainmentTable() {
   for (auto algorithm : setjoin::AllContainmentAlgorithms()) {
     std::printf("  %-22s", setjoin::ContainmentAlgorithmToString(algorithm));
   }
-  std::printf("  %-22s  %-22s  %-22s  %-22s  matches\n", "cost-based", "batched",
+  std::printf("  %-22s  %-22s  %-22s  %-22s  matches\n", "cost-based", "serial",
               "parallel", "prepared");
   for (std::size_t groups : {250u, 500u, 1000u, 2000u}) {
     const auto instance = Instance(groups, 8, 0.05);
@@ -194,19 +194,19 @@ std::vector<ContainmentRow> PrintContainmentTable() {
           engine::MakeScan("R", 2), engine::MakeScan("S", 2),
           setjoin::ContainmentAlgorithm::kInvertedIndex);
     };
-    row.batched_ms = EnginePlanMillis(db, make_root(), "containment",
-                                      engine::EngineOptions::Batched());
-    std::printf("  %-22.3f", row.batched_ms);
+    row.serial_ms =
+        EnginePlanMillis(db, make_root(), "containment", engine::EngineOptions{});
+    std::printf("  %-22.3f", row.serial_ms);
     engine::PlanStats parallel_stats;
     row.parallel_ms =
         EnginePlanMillis(db, make_root(), "containment-parallel",
-                         engine::EngineOptions::Parallel(ParallelThreads()),
+                         engine::EngineOptions{}.WithThreads(ParallelThreads()),
                          &parallel_stats);
     row.threads = parallel_stats.threads_used;
     row.partitions = parallel_stats.partitions;
     std::printf("  %-22.3f", row.parallel_ms);
     row.prepared_ms = PreparedPlanMillis(db, make_root(), "containment-prepared",
-                                         engine::EngineOptions::Batched());
+                                         engine::EngineOptions{});
     std::printf("  %-22.3f", row.prepared_ms);
     std::printf("  %zu\n", row.matches);
     rows.push_back(std::move(row));
@@ -222,7 +222,7 @@ std::vector<EqualityRow> PrintEqualityTable() {
   std::vector<EqualityRow> rows;
   std::printf("== E12: set-equality join, canonical hash vs nested loop (ms) ==\n");
   std::printf("%-8s  %-14s  %-14s  %-14s  %-14s  %-14s  %-14s  %-8s\n", "groups",
-              "nested-loop", "canonical-hash", "cost-based", "batched", "parallel",
+              "nested-loop", "canonical-hash", "cost-based", "serial", "parallel",
               "prepared", "matches");
   for (std::size_t groups : {250u, 500u, 1000u, 2000u, 4000u}) {
     workload::SetJoinConfig config;
@@ -259,20 +259,20 @@ std::vector<EqualityRow> PrintEqualityTable() {
           engine::MakeScan("R", 2), engine::MakeScan("S", 2),
           setjoin::EqualityJoinAlgorithm::kCanonicalHash);
     };
-    row.batched_ms = EnginePlanMillis(db, make_root(), "equality",
-                                      engine::EngineOptions::Batched());
+    row.serial_ms =
+        EnginePlanMillis(db, make_root(), "equality", engine::EngineOptions{});
     engine::PlanStats parallel_stats;
     row.parallel_ms =
         EnginePlanMillis(db, make_root(), "equality-parallel",
-                         engine::EngineOptions::Parallel(ParallelThreads()),
+                         engine::EngineOptions{}.WithThreads(ParallelThreads()),
                          &parallel_stats);
     row.threads = parallel_stats.threads_used;
     row.partitions = parallel_stats.partitions;
     row.prepared_ms = PreparedPlanMillis(db, make_root(), "equality-prepared",
-                                         engine::EngineOptions::Batched());
+                                         engine::EngineOptions{});
     std::printf("%-8zu  %-14.3f  %-14.3f  %-14.3f  %-14.3f  %-14.3f  %-14.3f  "
                 "%-8zu\n",
-                groups, row.nested_ms, row.hash_ms, row.chosen_ms, row.batched_ms,
+                groups, row.nested_ms, row.hash_ms, row.chosen_ms, row.serial_ms,
                 row.parallel_ms, row.prepared_ms, row.matches);
     rows.push_back(std::move(row));
   }
@@ -502,7 +502,7 @@ void WriteJson(const std::vector<ContainmentRow>& containment,
     json.Key("groups").Value(row.groups);
     for (const auto& [name, ms] : row.cells) json.Key(name).Value(ms);
     json.Key("cost-based").Value(row.chosen_ms);
-    json.Key("batched").Value(row.batched_ms);
+    json.Key("batched").Value(row.serial_ms);  // The serial column's baseline key.
     json.Key("parallel").Value(row.parallel_ms);
     json.Key("prepared").Value(row.prepared_ms);
     json.Key("chosen_containment").Value(row.chosen);
@@ -519,7 +519,7 @@ void WriteJson(const std::vector<ContainmentRow>& containment,
     json.Key("nested-loop").Value(row.nested_ms);
     json.Key("canonical-hash").Value(row.hash_ms);
     json.Key("cost-based").Value(row.chosen_ms);
-    json.Key("batched").Value(row.batched_ms);
+    json.Key("batched").Value(row.serial_ms);  // The serial column's baseline key.
     json.Key("parallel").Value(row.parallel_ms);
     json.Key("prepared").Value(row.prepared_ms);
     json.Key("chosen_equality").Value(row.chosen);

@@ -20,39 +20,35 @@ bench/baseline/ and fails (exit 1) when:
      `chosen_division` must be hash-division and `chosen_equality` must
      be canonical-hash at the largest n (the paper's headline: direct
      hash algorithms win at scale).
-  4. `batched` division is more than BATCHED_RATIO_LIMIT (1.1x) slower
-     than the materializing `engine-planned` run at the largest n —
-     pipelined batch execution must stay within noise of the
-     materializing engine on the same plan.
-  5. `parallel` division is slower than PARALLEL_RATIO_LIMIT (1.0x) the
-     serial `batched` run at the largest n — the partitioned executor
+  4. `parallel` division is slower than PARALLEL_RATIO_LIMIT (1.0x) the
+     serial `engine-planned` run at the largest n — partitioned execution
      must actually win at scale. Skipped (loudly) when the run's
      `hardware_threads` field reports fewer than 2 hardware threads,
      where a worker pool cannot win.
-  6. Any expected column is missing from the current JSON. Silent skips
+  5. Any expected column is missing from the current JSON. Silent skips
      hid real coverage loss (a bench dropping a tracked column looked
      green); a missing expected column is now an error, and every check
      prints exactly which table/column/sizes it compared.
-  7. `prepared` division (the plan-cache hot path: Prepare once, run the
+  6. `prepared` division (the plan-cache hot path: Prepare once, run the
      handle) exceeds PREPARED_RATIO_LIMIT (1.0x) the replanning
      `engine-planned` run at the largest n — caching the plan must never
      cost anything — or the per-call planning path served from the warm
      cache (`prepared_planning_ms`) is less than PLANNING_SPEEDUP (2x)
      faster than fresh planning (`planning_ms`).
-  8. `result-cached` division (the whole-result hot path: a warm hit in
+  7. `result-cached` division (the whole-result hot path: a warm hit in
      the invalidation-aware result cache) is not at least
      RESULT_CACHED_SPEEDUP (2x) faster than the uncached `engine-planned`
      run at the largest n, or its recorded outcome is not "result-hit" —
      serving a stored relation must beat re-executing the plan by a wide
      margin, and must actually come from the cache.
-  9. The self-tuning invariant on the skewed-containment table
+  8. The self-tuning invariant on the skewed-containment table
      (`calibrated_ms` in BENCH_setjoin.json) breaks at the largest
      group count: the trace-calibrated cost model's chosen kernel must
      run at least as fast as the uncalibrated model's choice
      (CALIBRATED_RATIO_LIMIT, 1.0x, plus the usual sub-millisecond
      slack) — histogram-aware costing exists to beat the uniform
      assumption under skew, so losing to it is a regression.
-  10. The worst-case-optimal invariants on the skewed-triangle table
+  9. The worst-case-optimal invariants on the skewed-triangle table
      (`multiway_ms` in BENCH_setjoin.json) break at the largest n: the
      cost model must route the chain to the multiway operator
      (`chosen_join` starts with "multiway"), the multiway run's max
@@ -86,8 +82,7 @@ import shutil
 import sys
 
 RATIO_LIMIT = 1.5          # engine-planned vs hash-division at max n.
-BATCHED_RATIO_LIMIT = 1.1  # batched vs engine-planned at max n.
-PARALLEL_RATIO_LIMIT = 1.0  # parallel vs batched at max n (>= 2 hw threads).
+PARALLEL_RATIO_LIMIT = 1.0  # parallel vs engine-planned at max n (>= 2 hw threads).
 PREPARED_RATIO_LIMIT = 1.0  # prepared vs engine-planned at max n.
 # Timer-noise allowance for the prepared gate: both cells run the *same
 # executor work* (the hit path only replaces lowering with a hash lookup),
@@ -120,8 +115,8 @@ TRACKED = {
     "runtime_ms": (
         "n",
         "hash-division",
-        ["sort-merge", "aggregate", "engine-planned", "cost-based", "batched",
-         "parallel", "prepared", "result-cached"],
+        ["sort-merge", "aggregate", "engine-planned", "cost-based", "parallel",
+         "prepared", "result-cached"],
     ),
     "containment_ms": (
         "groups",
@@ -187,84 +182,53 @@ def check_ratio(errors, data):
 
 
 def check_parallel_ratio(errors, data):
-    """Gate 5: parallel vs the serial batched run at max n (multi-core only)."""
+    """Gate 4: parallel vs the serial engine-planned run at max n (multi-core only)."""
     rows = data.get("runtime_ms", [])
     if not rows:
         return  # Gate 1 already reported the missing table.
     row = max_row(rows, "n")
-    batched_ms = row.get("batched")
+    planned_ms = row.get("engine-planned")
     parallel_ms = row.get("parallel")
-    if batched_ms is None or parallel_ms is None:
+    if planned_ms is None or parallel_ms is None:
         errors.append(
-            f"column 'batched' or 'parallel' missing at n={row['n']}"
+            f"column 'engine-planned' or 'parallel' missing at n={row['n']}"
         )
         return
     hardware_threads = data.get("hardware_threads")
     if hardware_threads is None:
         errors.append(
             "hardware_threads missing from BENCH_division.json — cannot tell "
-            "whether the parallel-vs-batched gate is meaningful on this runner"
+            "whether the parallel-vs-serial gate is meaningful on this runner"
         )
         return
     if hardware_threads < 2:
         print(
-            f"  SKIPPED: parallel-vs-batched gate needs >= 2 hardware threads "
+            f"  SKIPPED: parallel-vs-serial gate needs >= 2 hardware threads "
             f"(current run: {runner_info(data)}); parallel was "
-            f"{parallel_ms:.3f}ms vs batched {batched_ms:.3f}ms at n={row['n']}"
+            f"{parallel_ms:.3f}ms vs engine-planned {planned_ms:.3f}ms at n={row['n']}"
         )
         return
     # Absolute slack only shields jitter-dominated sub-millisecond cells.
-    limit = PARALLEL_RATIO_LIMIT * batched_ms
-    if batched_ms < ABS_SLACK_MS:
-        limit = max(limit, batched_ms + ABS_SLACK_MS)
+    limit = PARALLEL_RATIO_LIMIT * planned_ms
+    if planned_ms < ABS_SLACK_MS:
+        limit = max(limit, planned_ms + ABS_SLACK_MS)
     if parallel_ms > limit:
         errors.append(
-            f"parallel at n={row['n']} is {parallel_ms:.3f}ms vs batched "
-            f"{batched_ms:.3f}ms ({parallel_ms / batched_ms:.2f}x > "
+            f"parallel at n={row['n']} is {parallel_ms:.3f}ms vs engine-planned "
+            f"{planned_ms:.3f}ms ({parallel_ms / planned_ms:.2f}x > "
             f"{PARALLEL_RATIO_LIMIT}x limit, threads={row.get('threads')}, "
             f"partitions={row.get('partitions')})"
         )
     else:
         print(
             f"  ok: parallel {parallel_ms:.3f}ms <= {PARALLEL_RATIO_LIMIT}x "
-            f"batched ({batched_ms:.3f}ms) at n={row['n']} "
+            f"engine-planned ({planned_ms:.3f}ms) at n={row['n']} "
             f"(threads={row.get('threads')}, partitions={row.get('partitions')})"
         )
 
 
-def check_batched_ratio(errors, data):
-    """Gate 4: batched vs the materializing engine-planned run at max n."""
-    rows = data.get("runtime_ms", [])
-    if not rows:
-        return  # Gate 1 already reported the missing table.
-    row = max_row(rows, "n")
-    planned_ms = row.get("engine-planned")
-    batched_ms = row.get("batched")
-    if planned_ms is None or batched_ms is None:
-        errors.append(
-            f"column 'engine-planned' or 'batched' missing at n={row['n']}"
-        )
-        return
-    # Absolute slack only shields jitter-dominated sub-millisecond cells;
-    # at real timings the advertised 1.1x ratio is the binding limit.
-    limit = BATCHED_RATIO_LIMIT * planned_ms
-    if planned_ms < ABS_SLACK_MS:
-        limit = max(limit, planned_ms + ABS_SLACK_MS)
-    if batched_ms > limit:
-        errors.append(
-            f"batched at n={row['n']} is {batched_ms:.3f}ms vs engine-planned "
-            f"{planned_ms:.3f}ms ({batched_ms / planned_ms:.2f}x > "
-            f"{BATCHED_RATIO_LIMIT}x limit)"
-        )
-    else:
-        print(
-            f"  ok: batched {batched_ms:.3f}ms <= {BATCHED_RATIO_LIMIT}x "
-            f"engine-planned ({planned_ms:.3f}ms) at n={row['n']}"
-        )
-
-
 def check_prepared_ratio(errors, data):
-    """Gate 7: the plan-cache hot path vs replanning every call."""
+    """Gate 6: the plan-cache hot path vs replanning every call."""
     rows = data.get("runtime_ms", [])
     if not rows:
         return  # Gate 1 already reported the missing table.
@@ -328,7 +292,7 @@ def check_prepared_ratio(errors, data):
 
 
 def check_result_cached_ratio(errors, data):
-    """Gate 8: a warm result-cache hit vs the uncached engine-planned run."""
+    """Gate 7: a warm result-cache hit vs the uncached engine-planned run."""
     rows = data.get("runtime_ms", [])
     if not rows:
         return  # Gate 1 already reported the missing table.
@@ -369,7 +333,7 @@ def check_result_cached_ratio(errors, data):
 
 
 def check_calibrated_ratio(errors, data):
-    """Gate 9: the trace-calibrated pick vs the fixed model's pick."""
+    """Gate 8: the trace-calibrated pick vs the fixed model's pick."""
     rows = data.get("calibrated_ms", [])
     if not rows:
         errors.append("calibrated_ms table missing from BENCH_setjoin.json")
@@ -413,7 +377,7 @@ def check_calibrated_ratio(errors, data):
 
 
 def check_multiway_bound(errors, data):
-    """Gate 10: worst-case-optimal invariants on the skewed triangle."""
+    """Gate 9: worst-case-optimal invariants on the skewed triangle."""
     rows = data.get("multiway_ms", [])
     if not rows:
         errors.append("multiway_ms table missing from BENCH_setjoin.json")
@@ -612,7 +576,6 @@ def main():
         current, baseline = load(cur_path), load(base_path)
         if name == "BENCH_division.json":
             check_ratio(errors, current)
-            check_batched_ratio(errors, current)
             check_parallel_ratio(errors, current)
             check_prepared_ratio(errors, current)
             check_result_cached_ratio(errors, current)

@@ -18,12 +18,13 @@
 //   --mode reference   legacy 1:1 evaluation, no planner rewrites
 //   --mode planned     rewrite-enabled planning (the default)
 //   --mode cost        statistics-driven algorithm selection
-//   --mode batched     pipelined batch execution
-//   --mode parallel    batched + a worker pool for partitioned operators
-// --threads N sizes the worker pool, --batch-size N sets the pipelined
-// batch granularity (and implies the batch surface), and --multiway lets
-// the planner collect equality-join chains and route them to the
-// worst-case-optimal multiway operator when they beat the binary plan;
+//   --mode parallel    planned + a worker pool for partitioned operators
+//                      (--threads 4 unless --threads is given)
+// Every mode runs on the engine's one pipelined batch executor.
+// --threads N sizes the worker pool, --batch-size N sets the pipeline's
+// batch granularity, and --multiway lets the planner collect equality-join
+// chains and route them to the worst-case-optimal multiway operator when
+// they beat the binary plan;
 // --plan-cache [N] enables the engine's plan cache (N entries, default
 // 64) and runs the expression twice — the second run is served from the
 // cache, and -v reports the outcome (miss then hit) plus cache tallies,
@@ -74,7 +75,6 @@ int main(int argc, char** argv) {
   std::string connect;
   bool multiway = false;
   bool calibrate = false;
-  bool batched = false;
   bool threads_given = false;
   long long batch_size = static_cast<long long>(engine::kDefaultBatchSize);
   long long threads = 1;
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--mode") {
       if (i + 1 >= nargs) {
         std::fprintf(stderr, "--mode needs one of "
-                             "reference|planned|cost|batched|parallel\n");
+                             "reference|planned|cost|parallel\n");
         return 2;
       }
       mode = args[++i];
@@ -121,7 +121,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--batch-size needs a positive integer\n");
         return 2;
       }
-      batched = true;
       ++i;
     } else if (arg == "--threads") {
       if (i + 1 >= nargs || !util::ParseInt64(args[i + 1], &threads) || threads < 1) {
@@ -145,7 +144,7 @@ int main(int argc, char** argv) {
   if ((relation_specs.empty() && connect.empty()) || expressions.empty()) {
     std::fprintf(stderr,
                  "usage: raq NAME=ARITY:PATH [NAME=ARITY:PATH ...] [-v] "
-                 "[--mode reference|planned|cost|batched|parallel] [--multiway] "
+                 "[--mode reference|planned|cost|parallel] [--multiway] "
                  "[--calibrate] [--threads N] [--batch-size N] [--plan-cache [N]] "
                  "[--sessions N] [--connect HOST:PORT] -- STMT [STMT ...]\n"
                  "example: raq R=2:r.csv S=1:s.csv -- 'pi[1](join[2=1](R, S))'\n");
@@ -261,18 +260,16 @@ int main(int argc, char** argv) {
     options = engine::EngineOptions{};
   } else if (mode == "cost") {
     options = engine::EngineOptions::CostBased();
-  } else if (mode == "batched") {
-    options = engine::EngineOptions::Batched();
   } else if (mode == "parallel") {
     if (!threads_given) threads = 4;
-    options = engine::EngineOptions::Parallel(static_cast<std::size_t>(threads));
+    options = engine::EngineOptions{}.WithThreads(static_cast<std::size_t>(threads));
   } else {
     std::fprintf(stderr, "unknown --mode '%s' (want "
-                         "reference|planned|cost|batched|parallel)\n",
+                         "reference|planned|cost|parallel)\n",
                  mode.c_str());
     return 2;
   }
-  if (batched) options = options.WithBatchSize(static_cast<std::size_t>(batch_size));
+  options = options.WithBatchSize(static_cast<std::size_t>(batch_size));
   if (threads_given) options = options.WithThreads(static_cast<std::size_t>(threads));
   if (multiway) options = options.WithMultiway();
   // Statements run in order through one engine, so later statements plan
@@ -371,14 +368,12 @@ int main(int argc, char** argv) {
                          ? "within"
                          : "exceeds");
       }
-      if (batched) {
-        std::fprintf(stderr,
-                     "-- batched: %zu-tuple batches, %llu emitted, peak batch "
-                     "%zu bytes\n",
-                     run->stats.batch_size,
-                     static_cast<unsigned long long>(run->stats.batches_emitted),
-                     run->stats.peak_batch_bytes);
-      }
+      std::fprintf(stderr,
+                   "-- batches: %zu-tuple batches, %llu emitted, peak batch "
+                   "%zu bytes\n",
+                   run->stats.batch_size,
+                   static_cast<unsigned long long>(run->stats.batches_emitted),
+                   run->stats.peak_batch_bytes);
       if (run->stats.threads_used > 1) {
         std::fprintf(stderr, "-- parallel: %zu threads, %zu partition task(s)\n",
                      run->stats.threads_used, run->stats.partitions);

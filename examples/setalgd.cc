@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
       ++i;
     } else if (arg == "--mode") {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "--mode needs one of reference|planned|cost|batched|parallel\n");
+        std::fprintf(stderr, "--mode needs one of reference|planned|cost|parallel\n");
         return 2;
       }
       mode = argv[++i];
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   if (relation_specs.empty()) {
     std::fprintf(stderr,
                  "usage: setalgd NAME=ARITY:PATH [NAME=ARITY:PATH ...] "
-                 "[--port N] [--mode reference|planned|cost|batched|parallel] "
+                 "[--port N] [--mode reference|planned|cost|parallel] "
                  "[--multiway] [--threads N] [--calibrate]\n");
     return 2;
   }
@@ -115,11 +115,9 @@ int main(int argc, char** argv) {
     options = engine::EngineOptions{};
   } else if (mode == "cost") {
     options = engine::EngineOptions::CostBased();
-  } else if (mode == "batched") {
-    options = engine::EngineOptions::Batched();
   } else if (mode == "parallel") {
     if (!threads_given) threads = 4;
-    options = engine::EngineOptions::Parallel(static_cast<std::size_t>(threads));
+    options = engine::EngineOptions{}.WithThreads(static_cast<std::size_t>(threads));
   } else {
     std::fprintf(stderr, "unknown --mode '%s'\n", mode.c_str());
     return 2;

@@ -2,16 +2,15 @@
 // operators: fixed-capacity tuple batches and the Open/NextBatch/Close
 // iterator contract.
 //
-// The materializing PhysicalOp::Execute is a thin loop over this surface
-// (every operator is implemented batch-at-a-time exactly once), and
-// EngineOptions::batched composes the per-operator iterators into a
-// pipeline that never materializes the streaming operators' outputs. The
+// Every operator is implemented batch-at-a-time exactly once, and the
+// engine's executor composes the per-operator iterators into a pipeline
+// that never materializes the streaming operators' outputs. The
 // complexity currency of the paper is unchanged — PlanStats still counts
-// the (distinct) tuples each operator produces — and a pipelined run
-// buffers one batch per operator edge, plus the blocking operators' state,
-// plus an O(distinct output) dedup set on each edge whose stream may
-// repeat tuples (projection, union): set semantics is preserved exactly,
-// not approximated.
+// the (distinct) tuples each operator produces — and a run buffers one
+// batch per operator edge, plus the blocking operators' state, plus an
+// O(distinct output) dedup set on each edge whose stream may repeat
+// tuples (a union, or a projection that drops a column): set semantics is
+// preserved exactly, not approximated.
 //
 // Iterator contract:
 //   - Open() is called exactly once before the first NextBatch(); blocking
@@ -137,7 +136,7 @@ class RelationBatchIterator final : public BatchIterator {
 };
 
 /// A materialized view of an input stream: borrows the relation behind a
-/// plain relation streamer (the materializing Execute path — no copy) or
+/// plain relation streamer (a re-streamed shared subplan — no copy) or
 /// drains the stream into an owned copy (pipelined edges). Either way the
 /// stream counts as consumed.
 class MaterializedInput {

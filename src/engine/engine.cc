@@ -18,7 +18,6 @@ namespace {
 
 // One operator's stats entry with the plan-time prediction paired in, if
 // any — this is what makes every run a cost-model calibration point.
-// Shared by both executors so the execution modes can never diverge.
 OpStats MakeOpStats(const PhysicalOp* op, std::size_t output_size,
                     const PhysicalPlan* plan) {
   OpStats entry{op, op->source(), op->label(), output_size, false, 0.0, 0.0};
@@ -77,70 +76,14 @@ void FeedCalibration(CalibrationStore* store, const PlanStats& stats) {
   }
 }
 
-// Post-order DAG execution with memoization: shared operators run once.
-class Executor {
- public:
-  Executor(const core::DatabaseView* db, const EngineOptions* options,
-           const PhysicalPlan* plan, PlanStats* stats, WorkerPool* pool)
-      : ctx_(db, stats, options->batch_size, pool), options_(options), plan_(plan),
-        stats_(stats) {}
-
-  const core::Relation* Execute(const PhysicalOpPtr& op) {
-    auto it = memo_.find(op.get());
-    if (it != memo_.end()) return &it->second;
-
-    std::vector<const core::Relation*> inputs;
-    inputs.reserve(op->children().size());
-    for (const auto& child : op->children()) {
-      const core::Relation* input = Execute(child);
-      if (input == nullptr) return nullptr;
-      inputs.push_back(input);
-    }
-
-    core::Relation out = op->Execute(ctx_, inputs);
-    out.Normalize();
-    const std::size_t size = out.size();
-    if (stats_ != nullptr) {
-      if (options_->collect_node_stats) {
-        stats_->ops.push_back(MakeOpStats(op.get(), size, plan_));
-      }
-      stats_->max_intermediate = std::max(stats_->max_intermediate, size);
-      stats_->total_intermediate += size;
-    }
-    if (options_->max_intermediate_budget != 0 &&
-        size > options_->max_intermediate_budget) {
-      std::ostringstream message;
-      message << "intermediate-size budget exceeded: " << op->label()
-              << " materialized " << size << " tuples (budget "
-              << options_->max_intermediate_budget << ")";
-      error_ = message.str();
-      return nullptr;
-    }
-    return &memo_.emplace(op.get(), std::move(out)).first->second;
-  }
-
-  const std::string& error() const { return error_; }
-
-  core::Relation TakeOutput(const PhysicalOpPtr& root) {
-    return std::move(memo_.at(root.get()));
-  }
-
- private:
-  ExecContext ctx_;
-  const EngineOptions* options_;
-  const PhysicalPlan* plan_;
-  PlanStats* stats_;
-  std::unordered_map<const PhysicalOp*, core::Relation> memo_;
-  std::string error_;
-};
-
 class BatchedExecutor;
 
 // Wraps one operator's batch stream on a pipeline edge: guarantees set
 // semantics downstream (deduping streams that may carry duplicates),
-// counts the operator's distinct output rows for PlanStats — the same
-// per-operator cardinalities the materializing executor records — and
-// enforces the intermediate-size budget as the stream grows.
+// counts the operator's distinct output rows for PlanStats — the
+// cardinality the operator's output would have if materialized
+// (Definition 16) — and enforces the intermediate-size budget as the
+// stream grows.
 class InstrumentedIterator final : public BatchIterator {
  public:
   InstrumentedIterator(BatchedExecutor* executor, const PhysicalOp* op,
@@ -169,14 +112,15 @@ class InstrumentedIterator final : public BatchIterator {
   Batch scratch_;
 };
 
-// Pipelined execution over the batch surface: composes the operators'
-// iterators edge-to-edge so streaming operators never materialize their
-// output. Shared subplans (DAG nodes with more than one parent) cannot
-// share one stream, so they are materialized once and re-streamed to each
-// parent. Per-operator PlanStats (distinct output rows, max/total
-// intermediate, join rows) match the materializing executor exactly; the
-// batch fields (batches_emitted, peak_batch_bytes) describe this mode's
-// actual buffering.
+// The engine's executor: pipelined execution over the batch surface. It
+// composes the operators' iterators edge-to-edge so streaming operators
+// never materialize their output. Shared subplans (DAG nodes with more
+// than one parent) cannot share one stream, so they are materialized once
+// and re-streamed to each parent. Per-operator PlanStats record each
+// operator's distinct output rows — the size of its materialized,
+// normalized output (tests/batch_exec_test.cc checks this against every
+// subplan run alone); the batch fields (batches_emitted,
+// peak_batch_bytes) describe the pipeline's actual buffering.
 class BatchedExecutor {
  public:
   BatchedExecutor(const core::DatabaseView* db, const EngineOptions* options,
@@ -193,8 +137,8 @@ class BatchedExecutor {
     core::Relation out = DrainToRelation(it.get(), root->arity(), ctx_.batch_size());
     if (!error_.empty()) return util::Result<core::Relation>::Error(error_);
     {
-      // Emit OpStats in the same post-order the materializing executor
-      // uses, independent of the streams' interleaved completion order.
+      // Emit OpStats in DAG post-order (children first, shared nodes
+      // once), independent of the streams' interleaved completion order.
       std::unordered_set<const PhysicalOp*> visited;
       AppendStats(root, &visited);
     }
@@ -542,21 +486,10 @@ util::Result<RunResult> Engine::RunImpl(const PhysicalPlan& plan,
   result.stats.threads_used = threads;
   std::unique_ptr<WorkerPool> pool;
   if (threads > 1) pool = std::make_unique<WorkerPool>(threads);
-  if (options_.batched) {
-    BatchedExecutor executor(&db, &options_, &plan, &result.stats, pool.get());
-    auto out = executor.Run(plan.root);
-    if (!out.ok()) return util::Result<RunResult>::Error(out.error());
-    result.relation = std::move(*out);
-    if (options_.calibration != nullptr) {
-      FeedCalibration(options_.calibration.get(), result.stats);
-    }
-    return result;
-  }
-  Executor executor(&db, &options_, &plan, &result.stats, pool.get());
-  if (executor.Execute(plan.root) == nullptr) {
-    return util::Result<RunResult>::Error(executor.error());
-  }
-  result.relation = executor.TakeOutput(plan.root);
+  BatchedExecutor executor(&db, &options_, &plan, &result.stats, pool.get());
+  auto out = executor.Run(plan.root);
+  if (!out.ok()) return util::Result<RunResult>::Error(out.error());
+  result.relation = std::move(*out);
   if (options_.calibration != nullptr) {
     FeedCalibration(options_.calibration.get(), result.stats);
   }

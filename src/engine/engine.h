@@ -8,7 +8,10 @@
 // Engine::Run subsumes the legacy ra::Eval / ra::MaxIntermediateSize
 // tree-walker: those are now thin wrappers over the engine's reference
 // lowering (EngineOptions::Reference()), which reproduces the legacy
-// semantics and per-node statistics exactly. The default options enable
+// semantics and per-node statistics exactly. Reference is a plan choice,
+// not a separate executor: every preset runs on the one pipelined batch
+// executor (engine.cc), which records each operator's materialized
+// cardinality without materializing it. The default options enable
 // the planner rewrites — most notably routing the classic division
 // pattern to a sub-quadratic operator — so the same logical expression
 // runs with O(n) instead of Ω(n²) intermediates (Prop. 26 vs. Section 5).

@@ -11,8 +11,8 @@
 //
 // The operator is implemented once against the engine/batch.h
 // Open/NextBatch/Close contract (a blocking operator, like the division
-// and set-join kernels), so the materializing, pipelined, and parallel
-// executors all run it unchanged. Parallel runs hash-partition every
+// and set-join kernels), so serial and parallel runs of the pipelined
+// executor both run it unchanged. Parallel runs hash-partition every
 // input containing join variable 0 by that variable's column
 // (setjoin::PartitionOfKey, the engine-wide key-partitioning contract),
 // share the rest read-only, and merge the per-partition outputs in

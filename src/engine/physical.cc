@@ -358,7 +358,12 @@ class ProjectIterator final : public StreamingUnaryIterator {
                   const std::vector<std::size_t>* columns, std::size_t batch_size)
       : StreamingUnaryIterator(std::move(input), in_arity, batch_size),
         columns_(columns),
-        row_(columns->size()) {}
+        row_(columns->size()),
+        distinct_(KeepsEveryColumn(*columns, in_arity)) {}
+
+  // Dropping a column can merge rows; keeping every input column (in any
+  // order, repeats allowed) maps distinct rows to distinct rows.
+  bool distinct() const override { return distinct_; }
 
  protected:
   void Emit(TupleView t, Batch* out) override {
@@ -369,9 +374,16 @@ class ProjectIterator final : public StreamingUnaryIterator {
   }
 
  private:
+  static bool KeepsEveryColumn(const std::vector<std::size_t>& columns,
+                               std::size_t in_arity) {
+    std::vector<bool> kept(in_arity, false);
+    for (std::size_t column : columns) kept[column - 1] = true;
+    return std::find(kept.begin(), kept.end(), false) == kept.end();
+  }
+
   const std::vector<std::size_t>* columns_;
   core::Tuple row_;
-  // distinct() stays false: dropping columns merges rows.
+  bool distinct_;
 };
 
 class ProjectOp final : public PhysicalOp {
@@ -824,8 +836,8 @@ class DivisionIterator final : public BatchIterator {
     switch (algorithm_) {
       case setjoin::DivisionAlgorithm::kHashDivision:
       case setjoin::DivisionAlgorithm::kAggregate: {
-        // An already-materialized dividend (the materializing Execute
-        // path) goes straight to the kernel; a live pipeline edge is
+        // An already-materialized dividend (a re-streamed shared
+        // subplan) goes straight to the kernel; a live pipeline edge is
         // probed batch-at-a-time with O(#groups) state.
         if (auto* direct = dynamic_cast<RelationBatchIterator*>(inputs_[0].get())) {
           result_ = equality_
@@ -1168,26 +1180,6 @@ std::vector<std::string> CollectScanRelations(const PhysicalOpPtr& root) {
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
   return names;
-}
-
-core::Relation PhysicalOp::Execute(
-    ExecContext& ctx, const std::vector<const core::Relation*>& inputs) const {
-  SETALG_CHECK_EQ(inputs.size(), children_.size());
-  std::vector<std::unique_ptr<BatchIterator>> streams;
-  streams.reserve(inputs.size());
-  for (const core::Relation* input : inputs) {
-    streams.push_back(std::make_unique<RelationBatchIterator>(input));
-  }
-  std::unique_ptr<BatchIterator> it = MakeBatchIterator(ctx, std::move(streams));
-  it->Open();
-  Batch batch(arity(), ctx.batch_size());
-  core::Relation out(arity());
-  while (it->NextBatch(batch)) {
-    ctx.CountBatch(batch);
-    AppendBatchTo(batch, &out);
-  }
-  it->Close();
-  return out;
 }
 
 std::string PhysicalOp::ToString() const {

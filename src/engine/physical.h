@@ -2,15 +2,12 @@
 // evaluated once) of operators, each implemented once against the batched
 // Open/NextBatch/Close surface (engine/batch.h).
 //
-// Every operator's kernel is batch-at-a-time. The materializing
-// Execute() — the semantics reference every complexity statement in the
-// paper is phrased against (the cardinality of materialized intermediates,
-// Definition 16) — is a thin loop over that surface: it wraps the
-// children's materialized outputs in relation streamers and drains the
-// operator's own iterator. EngineOptions::batched instead composes the
-// iterators across operators into a pipeline (engine.cc), so streaming
-// operators never materialize at all while PlanStats still records the
-// same per-operator (distinct) output cardinalities.
+// Every operator's kernel is batch-at-a-time. The engine's one executor
+// (engine.cc) composes the iterators across operators into a pipeline, so
+// streaming operators never materialize at all, while PlanStats still
+// records each operator's distinct output cardinality — the size of the
+// materialized intermediate that every complexity statement in the paper
+// is phrased against (Definition 16).
 //
 // Concrete operators cover the relational algebra one-to-one (scan, union,
 // difference, projection, selection, const-tag, join, semijoin) plus the
@@ -110,13 +107,13 @@ struct PlanStats {
   /// Cost-based algorithm selections made while planning (empty unless
   /// EngineOptions::cost_based was set and statistics were available).
   std::vector<AlgorithmChoice> choices;
-  /// The batch size the run used on the batch surface (both execution
-  /// modes loop it; see engine/batch.h).
+  /// The batch size the run used on the batch surface (see
+  /// engine/batch.h).
   std::size_t batch_size = 0;
   /// Operator-output batches that crossed the batch surface.
   std::uint64_t batches_emitted = 0;
   /// Largest single operator-output batch footprint observed, in bytes —
-  /// the per-edge buffering cost of the pipelined mode.
+  /// the per-edge buffering cost of the pipeline.
   std::size_t peak_batch_bytes = 0;
   /// Worker threads available to the run (EngineOptions::threads; 1 for a
   /// serial run). Partitioned operators never change results or the row
@@ -207,19 +204,12 @@ class PhysicalOp {
   /// The operator's batch-at-a-time kernel: returns an iterator producing
   /// this operator's output from the children's streams (`inputs`, in
   /// child order, consumed at most once each). Input streams are always
-  /// duplicate-free (relation streamers in materializing mode, deduped
-  /// pipeline edges in batched mode); the output stream may carry
-  /// duplicates unless its distinct() says otherwise. `ctx` must outlive
-  /// the iterator.
+  /// duplicate-free (deduped pipeline edges, or relation streamers over
+  /// re-streamed shared subplans); the output stream may carry duplicates
+  /// unless its distinct() says otherwise, and the executor dedups exactly
+  /// those. `ctx` must outlive the iterator.
   virtual std::unique_ptr<BatchIterator> MakeBatchIterator(
       ExecContext& ctx, std::vector<std::unique_ptr<BatchIterator>> inputs) const = 0;
-
-  /// Materializes this operator's output — a thin loop over
-  /// MakeBatchIterator with the children's materialized outputs as input
-  /// streams. The result need not be normalized — the executor normalizes
-  /// before recording stats.
-  core::Relation Execute(ExecContext& ctx,
-                         const std::vector<const core::Relation*>& inputs) const;
 
   /// A copy of this operator over different children (same kind, payload
   /// and source; `children` must match the original count and arities).

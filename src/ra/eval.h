@@ -8,7 +8,9 @@
 //
 // Eval is the semantic REFERENCE: it delegates to engine::Engine under
 // EngineOptions::Reference(), a 1:1 lowering with every planner rewrite
-// disabled, so each logical node is materialized as written. Use
+// disabled, so each logical node gets its own operator and its own
+// recorded cardinality — the size its output has when materialized, even
+// though the engine's pipelined executor streams it. Use
 // engine::Engine (engine/engine.h) directly for the pattern-aware planner
 // that routes e.g. the classic division expression to a sub-quadratic
 // physical operator.

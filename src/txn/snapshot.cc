@@ -5,6 +5,18 @@
 #include "util/check.h"
 
 namespace setalg::txn {
+namespace {
+
+// Wraps a relation for publication. core::Relation sorts and deduplicates
+// lazily on its first read, through mutable members; a published relation
+// is read by any number of threads without a lock, so it must be
+// normalized here, while only the publishing thread can reach it.
+std::shared_ptr<const core::Relation> Freeze(core::Relation relation) {
+  relation.Normalize();
+  return std::make_shared<const core::Relation>(std::move(relation));
+}
+
+}  // namespace
 
 const core::Relation& Snapshot::relation(const std::string& name) const {
   auto it = relations_.find(name);
@@ -51,8 +63,7 @@ VersionedDatabase::VersionedDatabase(core::Schema schema)
   Snapshot::RelationMap relations;
   std::unordered_map<std::string, std::uint64_t> versions;
   for (const auto& name : schema_.Names()) {
-    relations.emplace(name,
-                      std::make_shared<core::Relation>(schema_.Arity(name)));
+    relations.emplace(name, Freeze(core::Relation(schema_.Arity(name))));
     versions.emplace(name, 0);
   }
   head_ = SnapshotPtr(new Snapshot(schema_, std::move(relations),
@@ -64,7 +75,7 @@ VersionedDatabase::VersionedDatabase(const core::Database& db)
   Snapshot::RelationMap relations;
   std::unordered_map<std::string, std::uint64_t> versions;
   for (const auto& name : schema_.Names()) {
-    relations.emplace(name, std::make_shared<core::Relation>(db.relation(name)));
+    relations.emplace(name, Freeze(db.relation(name)));
     versions.emplace(name, 0);
   }
   head_ = SnapshotPtr(new Snapshot(schema_, std::move(relations),
@@ -111,8 +122,7 @@ SnapshotPtr VersionedDatabase::PublishLocked(
     SETALG_CHECK_STREAM(schema_.HasRelation(name))
         << "unknown relation: " << name;
     SETALG_CHECK_EQ(schema_.Arity(name), relation.arity());
-    relations.insert_or_assign(
-        name, std::make_shared<core::Relation>(std::move(relation)));
+    relations.insert_or_assign(name, Freeze(std::move(relation)));
     ++versions[name];
   }
   head_ = SnapshotPtr(new Snapshot(schema_, std::move(relations),

@@ -1,12 +1,18 @@
-// Differential/property harness for batched AND parallel execution:
-// every plan must produce identical (sorted, set-semantics) results and
-// identical per-operator PlanStats row counts whether it runs through the
-// materializing executor, the pipelined batch surface, or the partitioned
-// parallel executor — at every batch size (including the degenerate size
-// 1 and the off-power-of-two 7 that exercise batch-boundary carry-over)
-// and at every thread count in {1, 2, 7} (1 exercises the partitioned
-// code inline, 2 a minimal pool, 7 an off-power-of-two fan-out wider than
-// many of the workloads' group counts, so empty partitions occur).
+// Differential/property harness for the engine's pipelined and parallel
+// execution: every plan must produce identical (sorted, set-semantics)
+// results and identical per-operator PlanStats row counts at every batch
+// size (including the degenerate size 1 and the off-power-of-two 7 that
+// exercise batch-boundary carry-over) and at every thread count in
+// {1, 2, 7} (1 exercises the partitioned code inline, 2 a minimal pool, 7
+// an off-power-of-two fan-out wider than many of the workloads' group
+// counts, so empty partitions occur).
+//
+// The oracle is independent of the pipeline's own row counting: every
+// operator's subplan runs alone as its own plan, and the size of its
+// sort-normalized result — the operator's materialized cardinality
+// (Definition 16) — must equal the OpStats::output_size the whole-plan run
+// recorded for that operator at every matrix point. A stream that wrongly
+// claims distinct() (and so skips the dedup) fails here.
 //
 // The suite reads SETALG_BATCH_SEED (default 1) as the base of its seed
 // range; CI runs it under ASan/UBSan and under ThreadSanitizer with a
@@ -14,8 +20,12 @@
 // races surface across distinct randomized workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "engine/engine.h"
@@ -47,9 +57,9 @@ std::uint64_t BaseSeed() {
   return (end == env || value == 0) ? 1 : static_cast<std::uint64_t>(value);
 }
 
-// Asserts that the pipelined run reproduced the materializing run's
-// per-operator instrumentation exactly: same operators in the same
-// post-order, same (distinct) output cardinalities, same aggregates.
+// Asserts that `actual` reproduced the reference run's per-operator
+// instrumentation exactly: same operators in the same post-order, same
+// (distinct) output cardinalities, same aggregates.
 void ExpectSameStats(const PlanStats& expected, const PlanStats& actual,
                      const std::string& context) {
   EXPECT_EQ(actual.max_intermediate, expected.max_intermediate) << context;
@@ -62,6 +72,59 @@ void ExpectSameStats(const PlanStats& expected, const PlanStats& actual,
     EXPECT_EQ(actual.ops[i].output_size, expected.ops[i].output_size)
         << context << " op " << i << " (" << expected.ops[i].label << ")";
   }
+}
+
+// The per-operator oracle of one plan (see the file comment).
+struct SubplanOracle {
+  Relation root{0};
+  std::unordered_map<const PhysicalOp*, std::size_t> output_sizes;
+  std::size_t max_intermediate = 0;
+  std::size_t total_intermediate = 0;
+};
+
+void CollectOps(const PhysicalOpPtr& op, std::unordered_set<const PhysicalOp*>* seen,
+                std::vector<PhysicalOpPtr>* out) {
+  if (!seen->insert(op.get()).second) return;
+  for (const auto& child : op->children()) CollectOps(child, seen, out);
+  out->push_back(op);
+}
+
+// Runs the subplan rooted at every distinct operator of `plan` as its own
+// PhysicalPlan, serial, and records the size of its normalized result.
+void BuildSubplanOracle(const EngineOptions& base, const PhysicalPlan& plan,
+                        const core::Database& db, const std::string& context,
+                        SubplanOracle* oracle) {
+  std::vector<PhysicalOpPtr> ops;
+  std::unordered_set<const PhysicalOp*> seen;
+  CollectOps(plan.root, &seen, &ops);
+  const Engine serial(base.WithThreads(1));
+  for (const PhysicalOpPtr& op : ops) {
+    PhysicalPlan subplan;
+    subplan.root = op;
+    auto run = serial.Run(subplan, db);
+    ASSERT_TRUE(run.ok()) << context << " subplan " << op->label() << ": "
+                          << run.error();
+    const std::size_t size = run->relation.size();
+    oracle->output_sizes[op.get()] = size;
+    oracle->max_intermediate = std::max(oracle->max_intermediate, size);
+    oracle->total_intermediate += size;
+    if (op == plan.root) oracle->root = std::move(run->relation);
+  }
+}
+
+// Asserts one run's PlanStats against the oracle: one entry per distinct
+// operator, each with its subplan's normalized output size, and the
+// aggregates those sizes imply.
+void ExpectMatchesOracle(const SubplanOracle& oracle, const PlanStats& stats,
+                         const std::string& context) {
+  EXPECT_EQ(stats.ops.size(), oracle.output_sizes.size()) << context;
+  for (const OpStats& op : stats.ops) {
+    auto it = oracle.output_sizes.find(op.op);
+    ASSERT_NE(it, oracle.output_sizes.end()) << context << " (" << op.label << ")";
+    EXPECT_EQ(op.output_size, it->second) << context << " (" << op.label << ")";
+  }
+  EXPECT_EQ(stats.max_intermediate, oracle.max_intermediate) << context;
+  EXPECT_EQ(stats.total_intermediate, oracle.total_intermediate) << context;
 }
 
 // Plan-cache leg of the harness: a shared Engine with the plan cache
@@ -96,37 +159,34 @@ void ExpectCachedRunsMatch(const EngineOptions& options, const ra::ExprPtr& expr
   EXPECT_EQ(hit->stats.threads_used, miss->stats.threads_used) << context;
 }
 
-// Lowers `expr` once under `base` options and executes the same plan
-// through the materializing executor (serial — the semantics reference)
-// and through the pipelined executor at every (threads × batch size)
-// point of the differential matrix, asserting results and PlanStats row
-// counts identical to the serial reference at every point. The parallel
-// materializing combination is exercised too (threads > 1, batched off):
-// partitioned operators plug into both executors. At one batch size per
+// Executes `plan` at every (threads × batch size) point of the
+// differential matrix, asserting at every point: the result equals the
+// oracle's root relation, every operator's recorded output size equals
+// its subplan's (BuildSubplanOracle), and the PlanStats equal the serial
+// run's at the default batch size. With an `expr`, at one batch size per
 // thread count the workload additionally runs through a shared Engine
 // with the plan cache enabled (see ExpectCachedRunsMatch).
-void ExpectBatchedMatches(const EngineOptions& base, const ra::ExprPtr& expr,
-                          const core::Database& db, const std::string& context) {
-  const Engine reference(base);
-  auto plan = base.cost_based ? reference.Plan(expr, db)
-                              : reference.Plan(expr, db.schema());
-  ASSERT_TRUE(plan.ok()) << context << ": " << plan.error();
-  auto expected = reference.Run(*plan, db);
+void ExpectPlanMatchesOracle(const EngineOptions& base, const PhysicalPlan& plan,
+                             const core::Database& db, const ra::ExprPtr& expr,
+                             const std::string& context) {
+  SubplanOracle oracle;
+  ASSERT_NO_FATAL_FAILURE(BuildSubplanOracle(base, plan, db, context, &oracle));
+  auto expected = Engine(base.WithThreads(1)).Run(plan, db);
   ASSERT_TRUE(expected.ok()) << context << ": " << expected.error();
+  EXPECT_EQ(expected->relation, oracle.root) << context;
+  ExpectMatchesOracle(oracle, expected->stats, context + " serial");
 
   for (std::size_t threads : kThreadCounts) {
     for (std::size_t batch_size : kBatchSizes) {
-      EngineOptions options = base;
-      options.batched = true;
-      options.batch_size = batch_size;
-      options.threads = threads;
-      const Engine batched(options);
-      auto run = batched.Run(*plan, db);
+      const EngineOptions options =
+          base.WithThreads(threads).WithBatchSize(batch_size);
+      auto run = Engine(options).Run(plan, db);
       const std::string what = context + " batch_size=" +
                                std::to_string(batch_size) +
                                " threads=" + std::to_string(threads);
       ASSERT_TRUE(run.ok()) << what << ": " << run.error();
       EXPECT_EQ(run->relation, expected->relation) << what;
+      ExpectMatchesOracle(oracle, run->stats, what);
       ExpectSameStats(expected->stats, run->stats, what);
       EXPECT_EQ(run->stats.batch_size, batch_size);
       EXPECT_EQ(run->stats.threads_used, threads) << what;
@@ -134,23 +194,22 @@ void ExpectBatchedMatches(const EngineOptions& base, const ra::ExprPtr& expr,
         EXPECT_GT(run->stats.batches_emitted, 0u) << what;
         EXPECT_GT(run->stats.peak_batch_bytes, 0u) << what;
       }
-      if (batch_size == 7) {
+      if (batch_size == 7 && expr != nullptr) {
         ExpectCachedRunsMatch(options, expr, db, expected->relation,
                               expected->stats, what + " plan-cache");
       }
     }
-    if (threads > 1) {
-      // Materializing executor with a worker pool (no batching).
-      EngineOptions options = base;
-      options.threads = threads;
-      auto run = Engine(options).Run(*plan, db);
-      const std::string what =
-          context + " materializing threads=" + std::to_string(threads);
-      ASSERT_TRUE(run.ok()) << what << ": " << run.error();
-      EXPECT_EQ(run->relation, expected->relation) << what;
-      ExpectSameStats(expected->stats, run->stats, what);
-    }
   }
+}
+
+// Lowers `expr` once under `base` options and checks the plan across the
+// differential matrix (ExpectPlanMatchesOracle).
+void ExpectBatchedMatches(const EngineOptions& base, const ra::ExprPtr& expr,
+                          const core::Database& db, const std::string& context) {
+  const Engine planner(base);
+  auto plan = base.cost_based ? planner.Plan(expr, db) : planner.Plan(expr, db.schema());
+  ASSERT_TRUE(plan.ok()) << context << ": " << plan.error();
+  ExpectPlanMatchesOracle(base, *plan, db, expr, context);
 }
 
 // The three planning modes the harness drives every workload through.
@@ -190,12 +249,25 @@ TEST(BatchExec, DifferentialOnJoinFormsOfRandomExpressions) {
   core::Schema schema;
   schema.AddRelation("R", 2);
   schema.AddRelation("S", 1);
+  // Projections over joins that keep every column (with repeats, and
+  // permuted): their streams skip the pipeline's dedup.
+  const auto r = ra::Rel("R", 2);
+  const auto s = ra::Rel("S", 1);
+  const auto rs = ra::Join(r, s, {{2, ra::Cmp::kEq, 1}});
+  const std::vector<ra::ExprPtr> column_preserving = {
+      ra::Project(rs, {1, 2, 2, 3, 3, 1}),
+      ra::Union(ra::Project(rs, {3, 1, 2, 1}),
+                ra::Project(ra::Product(r, s), {2, 1, 3, 3})),
+  };
   const std::uint64_t base = BaseSeed();
   for (std::uint64_t seed = base + 10; seed < base + 13; ++seed) {
     const auto db = setalg::testing::RandomDatabase(schema, 24, 10, seed);
     setalg::testing::RandomSaEqGenerator generator(schema, {1, 2}, seed * 131);
+    std::vector<ra::ExprPtr> exprs = column_preserving;
     for (int trial = 0; trial < 5; ++trial) {
-      const auto expr = ra::SemiJoinToJoin(generator.Generate(1, 3));
+      exprs.push_back(ra::SemiJoinToJoin(generator.Generate(1, 3)));
+    }
+    for (const auto& expr : exprs) {
       for (const auto& [name, options] : AllModes()) {
         ExpectBatchedMatches(options, expr, db,
                              name + " seed " + std::to_string(seed) + " expr " +
@@ -203,6 +275,46 @@ TEST(BatchExec, DifferentialOnJoinFormsOfRandomExpressions) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Projections: one that keeps every input column (in any order, with
+// repeats) cannot merge rows, so its stream is distinct and skips the
+// pipeline's dedup; one that drops a column may merge rows and is deduped.
+// ---------------------------------------------------------------------------
+
+TEST(BatchExec, ProjectionKeepingEveryColumnReportsDistinct) {
+  const Relation ternary = MakeRel(3, {{1, 2, 3}, {1, 2, 4}, {2, 2, 3}, {2, 5, 3}});
+  const Relation binary = MakeRel(2, {{1, 5}, {2, 5}, {2, 6}});
+  ExecContext ctx(nullptr, nullptr, /*batch_size=*/2);
+  // distinct() of the projection's stream over `input`, after checking
+  // that the stream holds no repeated row whenever it reports distinct.
+  auto distinct = [&ctx](const Relation& input, std::vector<std::size_t> columns) {
+    const std::size_t arity = columns.size();
+    std::vector<std::unique_ptr<BatchIterator>> inputs;
+    inputs.push_back(std::make_unique<RelationBatchIterator>(&input));
+    // The iterator borrows the operator's column list: keep `op` alive.
+    const PhysicalOpPtr op =
+        MakeProject(MakeScan("R", input.arity()), std::move(columns));
+    auto it = op->MakeBatchIterator(ctx, std::move(inputs));
+    const bool reported = it->distinct();
+    RowSet seen(arity);
+    bool repeated = false;
+    Batch batch(arity, ctx.batch_size());
+    it->Open();
+    while (it->NextBatch(batch)) {
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (!seen.Insert(batch.row(i))) repeated = true;
+      }
+    }
+    it->Close();
+    EXPECT_FALSE(reported && repeated);
+    return reported;
+  };
+  EXPECT_TRUE(distinct(ternary, {1, 2, 2, 3, 3, 1}));
+  EXPECT_TRUE(distinct(ternary, {3, 1, 2}));
+  EXPECT_FALSE(distinct(binary, {1, 1}));
+  EXPECT_FALSE(distinct(binary, {2}));
 }
 
 // ---------------------------------------------------------------------------
@@ -382,21 +494,10 @@ TEST(BatchExec, DifferentialOnMultiwayJoinChains) {
 
 void ExpectPlanBatchedMatches(const PhysicalPlan& plan, const core::Database& db,
                               const Relation& expected, const std::string& context) {
-  const Engine materializing;
-  auto reference = materializing.Run(plan, db);
+  auto reference = Engine().Run(plan, db);
   ASSERT_TRUE(reference.ok()) << context << ": " << reference.error();
   EXPECT_EQ(reference->relation, expected) << context;
-  for (std::size_t threads : kThreadCounts) {
-    for (std::size_t batch_size : kBatchSizes) {
-      const Engine batched(EngineOptions::Parallel(threads, batch_size));
-      auto run = batched.Run(plan, db);
-      const std::string what = context + " batch_size=" + std::to_string(batch_size) +
-                               " threads=" + std::to_string(threads);
-      ASSERT_TRUE(run.ok()) << what << ": " << run.error();
-      EXPECT_EQ(run->relation, expected) << what;
-      ExpectSameStats(reference->stats, run->stats, what);
-    }
-  }
+  ExpectPlanMatchesOracle(EngineOptions{}, plan, db, nullptr, context);
 }
 
 TEST(BatchExec, DifferentialOnHandBuiltSetJoinPlans) {
@@ -485,31 +586,17 @@ TEST(BatchExec, SharedSubplansMaterializeOnceAndKeepStatsParity) {
   db.SetRelation("R", workload::UniformBinaryRelation(60, 12, BaseSeed()));
 
   // One scan shared by two parents: a stream has one consumer, so the
-  // pipelined executor must materialize the shared node and re-stream it.
+  // executor must materialize the shared node and re-stream it.
   PhysicalOpPtr scan = MakeScan("R", 2);
   PhysicalPlan plan;
   plan.root = MakeUnion(MakeProject(scan, {1}), MakeProject(scan, {2}));
-
-  const Engine materializing;
-  auto expected = materializing.Run(plan, db);
-  ASSERT_TRUE(expected.ok()) << expected.error();
-  for (std::size_t batch_size : kBatchSizes) {
-    const Engine batched(EngineOptions::Batched(batch_size));
-    auto run = batched.Run(plan, db);
-    ASSERT_TRUE(run.ok()) << run.error();
-    EXPECT_EQ(run->relation, expected->relation);
-    ExpectSameStats(expected->stats, run->stats,
-                    "shared batch_size=" + std::to_string(batch_size));
-  }
+  ExpectPlanMatchesOracle(EngineOptions{}, plan, db, nullptr, "shared");
 }
 
 TEST(BatchExec, BudgetAbortsOversizedBatchedRuns) {
   const auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}, {3, 10}}), MakeRel(1, {{10}, {30}}));
-  EngineOptions options = EngineOptions::Batched(2);
-  options.recognize_division = false;
-  options.recognize_semijoin_projection = false;
-  options.use_fast_semijoin = false;
+  EngineOptions options = EngineOptions::Reference().WithBatchSize(2);
   options.max_intermediate_budget = 2;
   auto run = Engine::Run(ra::Product(ra::Rel("R", 2), ra::Rel("S", 1)), db, options);
   ASSERT_FALSE(run.ok());
@@ -537,7 +624,7 @@ TEST(BatchExec, ParallelMergeIsDeterministicAcrossRepeatedRuns) {
   const auto db = setalg::testing::DivisionDb(instance.r, instance.s);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
-  const Engine engine(EngineOptions::Parallel(7, /*batch_size=*/7));
+  const Engine engine(EngineOptions{}.WithThreads(7).WithBatchSize(7));
   auto plan = engine.Plan(expr, db.schema());
   ASSERT_TRUE(plan.ok()) << plan.error();
 
@@ -572,8 +659,8 @@ TEST(BatchExec, BatchAccountingBoundsThePipelineFootprint) {
   const auto expr = ra::Join(ra::Rel("R", 2), ra::Rel("S", 1),
                              {{2, ra::Cmp::kEq, 1}});
   for (std::size_t batch_size : kBatchSizes) {
-    const Engine batched(EngineOptions::Batched(batch_size));
-    auto run = batched.Run(expr, db);
+    const Engine engine(EngineOptions{}.WithBatchSize(batch_size));
+    auto run = engine.Run(expr, db);
     ASSERT_TRUE(run.ok()) << run.error();
     // Widest stream in this plan is the join output (arity 3): no batch
     // may outgrow its configured capacity.

@@ -370,10 +370,7 @@ TEST(Engine, ParallelDivisionMatchesSerialAndRecordsFanOut) {
 
 TEST(Engine, BudgetStillEnforcedOnParallelRuns) {
   const auto db = SmallDb();
-  EngineOptions options = EngineOptions::Parallel(4, /*batch_size=*/2);
-  options.recognize_division = false;
-  options.recognize_semijoin_projection = false;
-  options.use_fast_semijoin = false;
+  EngineOptions options = EngineOptions::Reference().WithThreads(4).WithBatchSize(2);
   options.max_intermediate_budget = 2;
   auto run = Engine::Run(ra::Product(ra::Rel("R", 2), ra::Rel("S", 1)), db, options);
   ASSERT_FALSE(run.ok());

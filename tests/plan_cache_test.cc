@@ -11,8 +11,7 @@
 // options. The harness interleaves randomized database mutations
 // (in-place inserts, deletes, bulk loads) with repeated prepared and
 // transparently-cached executions and checks that identity after every
-// mutation, across Reference/planned/CostBased × materializing/batched ×
-// threads {1, 2, 7}.
+// mutation, across Reference/planned/CostBased × threads {1, 2, 7}.
 //
 // Like tests/batch_exec_test.cc, the suite reads SETALG_BATCH_SEED
 // (default 1) as the base of its seed range; CI runs it under ASan/UBSan
@@ -163,71 +162,67 @@ TEST(PlanCache, CacheDifferentialUnderRandomizedMutations) {
     };
     for (const Mode& mode : AllModes()) {
       for (std::size_t threads : kThreadCounts) {
-        for (bool batched : {false, true}) {
-          EngineOptions options = mode.options;
-          options.batched = batched;
-          options.batch_size = 7;
-          options.threads = threads;
-          EngineOptions cached_options = options;
-          cached_options.plan_cache_entries = 8;
-          const Engine cached(cached_options);
-          const Engine fresh(options);  // Replans on every Run.
-          const std::string what = mode.name + (batched ? " batched" : "") +
-                                   " threads=" + std::to_string(threads) +
-                                   " seed=" + std::to_string(seed);
+        EngineOptions options = mode.options;
+        options.batch_size = 7;
+        options.threads = threads;
+        EngineOptions cached_options = options;
+        cached_options.plan_cache_entries = 8;
+        const Engine cached(cached_options);
+        const Engine fresh(options);  // Replans on every Run.
+        const std::string what = mode.name + " threads=" + std::to_string(threads) +
+                                 " seed=" + std::to_string(seed);
 
-          auto db = setalg::testing::RandomDatabase(schema, 40, 12, seed);
-          std::vector<PreparedQuery> prepared;
-          for (const auto& expr : exprs) {
-            auto handle = cached.Prepare(expr, db);
-            ASSERT_TRUE(handle.ok()) << what << ": " << handle.error();
-            prepared.push_back(std::move(*handle));
-          }
-
-          util::Rng rng(seed * 977 + threads * 31 + (batched ? 7 : 0));
-          for (int step = 0; step < 5; ++step) {
-            MutateDatabase(&db, &rng, seed, step);
-            for (std::size_t i = 0; i < exprs.size(); ++i) {
-              const std::string context =
-                  what + " step=" + std::to_string(step) + " expr=" +
-                  std::to_string(i);
-              auto want = fresh.Run(exprs[i], db);
-              ASSERT_TRUE(want.ok()) << context << ": " << want.error();
-              ASSERT_EQ(want->stats.cache, CacheOutcome::kUncached);
-
-              // First cached touch after the mutation: transparent path.
-              auto through_cache = cached.Run(exprs[i], db);
-              ASSERT_TRUE(through_cache.ok())
-                  << context << ": " << through_cache.error();
-              EXPECT_EQ(through_cache->relation.flat(), want->relation.flat())
-                  << context << " (transparent)";
-              ExpectIdenticalStats(want->stats, through_cache->stats,
-                                   context + " (transparent)");
-              // Something other than a fresh lowering served the run:
-              // either the mutation invalidated it (revalidated/repicked)
-              // or the versions happened to survive the step (hit).
-              EXPECT_NE(through_cache->stats.cache, CacheOutcome::kUncached)
-                  << context;
-              EXPECT_NE(through_cache->stats.cache, CacheOutcome::kMiss)
-                  << context;
-
-              // The prepared handle shares the entry: by now revalidated,
-              // so executing it must be a pure hit — and still identical.
-              auto via_handle = cached.Run(prepared[i], db);
-              ASSERT_TRUE(via_handle.ok()) << context << ": " << via_handle.error();
-              EXPECT_EQ(via_handle->relation.flat(), want->relation.flat())
-                  << context << " (prepared)";
-              ExpectIdenticalStats(want->stats, via_handle->stats,
-                                   context + " (prepared)");
-              EXPECT_EQ(via_handle->stats.cache, CacheOutcome::kHit) << context;
-            }
-          }
-          // Every run after the warm-up Prepares was served by the cache.
-          const PlanCache* cache = cached.plan_cache();
-          ASSERT_NE(cache, nullptr) << what;
-          EXPECT_EQ(cache->stats().misses, exprs.size()) << what;
-          EXPECT_GT(cache->stats().hits, 0u) << what;
+        auto db = setalg::testing::RandomDatabase(schema, 40, 12, seed);
+        std::vector<PreparedQuery> prepared;
+        for (const auto& expr : exprs) {
+          auto handle = cached.Prepare(expr, db);
+          ASSERT_TRUE(handle.ok()) << what << ": " << handle.error();
+          prepared.push_back(std::move(*handle));
         }
+
+        util::Rng rng(seed * 977 + threads * 31);
+        for (int step = 0; step < 5; ++step) {
+          MutateDatabase(&db, &rng, seed, step);
+          for (std::size_t i = 0; i < exprs.size(); ++i) {
+            const std::string context =
+                what + " step=" + std::to_string(step) + " expr=" +
+                std::to_string(i);
+            auto want = fresh.Run(exprs[i], db);
+            ASSERT_TRUE(want.ok()) << context << ": " << want.error();
+            ASSERT_EQ(want->stats.cache, CacheOutcome::kUncached);
+
+            // First cached touch after the mutation: transparent path.
+            auto through_cache = cached.Run(exprs[i], db);
+            ASSERT_TRUE(through_cache.ok())
+                << context << ": " << through_cache.error();
+            EXPECT_EQ(through_cache->relation.flat(), want->relation.flat())
+                << context << " (transparent)";
+            ExpectIdenticalStats(want->stats, through_cache->stats,
+                                 context + " (transparent)");
+            // Something other than a fresh lowering served the run:
+            // either the mutation invalidated it (revalidated/repicked)
+            // or the versions happened to survive the step (hit).
+            EXPECT_NE(through_cache->stats.cache, CacheOutcome::kUncached)
+                << context;
+            EXPECT_NE(through_cache->stats.cache, CacheOutcome::kMiss)
+                << context;
+
+            // The prepared handle shares the entry: by now revalidated,
+            // so executing it must be a pure hit — and still identical.
+            auto via_handle = cached.Run(prepared[i], db);
+            ASSERT_TRUE(via_handle.ok()) << context << ": " << via_handle.error();
+            EXPECT_EQ(via_handle->relation.flat(), want->relation.flat())
+                << context << " (prepared)";
+            ExpectIdenticalStats(want->stats, via_handle->stats,
+                                 context + " (prepared)");
+            EXPECT_EQ(via_handle->stats.cache, CacheOutcome::kHit) << context;
+          }
+        }
+        // Every run after the warm-up Prepares was served by the cache.
+        const PlanCache* cache = cached.plan_cache();
+        ASSERT_NE(cache, nullptr) << what;
+        EXPECT_EQ(cache->stats().misses, exprs.size()) << what;
+        EXPECT_GT(cache->stats().hits, 0u) << what;
       }
     }
   }
@@ -645,56 +640,52 @@ TEST(ResultCacheTest, DifferentialUnderRandomizedMutations) {
         generator.Generate(1, 3),
     };
     for (const Mode& mode : AllModes()) {
-      for (bool batched : {false, true}) {
-        EngineOptions options = mode.options;
-        options.batched = batched;
-        options.batch_size = 7;
-        EngineOptions cached_options = options;
-        cached_options.plan_cache_entries = 0;  // The concurrent wiring.
-        cached_options.shared_plan_cache =
-            std::make_shared<SharedPlanCache>(16, 0);
-        const auto results = std::make_shared<ResultCache>(16, 1u << 20);
-        cached_options.result_cache = results;
-        const Engine cached(cached_options);
-        const Engine fresh(options);
-        const std::string what = mode.name + (batched ? " batched" : "") +
-                                 " seed=" + std::to_string(seed);
+      EngineOptions options = mode.options;
+      options.batch_size = 7;
+      EngineOptions cached_options = options;
+      cached_options.plan_cache_entries = 0;  // The concurrent wiring.
+      cached_options.shared_plan_cache =
+          std::make_shared<SharedPlanCache>(16, 0);
+      const auto results = std::make_shared<ResultCache>(16, 1u << 20);
+      cached_options.result_cache = results;
+      const Engine cached(cached_options);
+      const Engine fresh(options);
+      const std::string what = mode.name + " seed=" + std::to_string(seed);
 
-        auto db = setalg::testing::RandomDatabase(schema, 40, 12, seed);
-        util::Rng rng(seed * 1013 + (batched ? 7 : 0));
-        for (int step = 0; step < 5; ++step) {
-          MutateDatabase(&db, &rng, seed, step);
-          for (std::size_t i = 0; i < exprs.size(); ++i) {
-            const std::string context = what + " step=" + std::to_string(step) +
-                                        " expr=" + std::to_string(i);
-            auto want = fresh.Run(exprs[i], db);
-            ASSERT_TRUE(want.ok()) << context << ": " << want.error();
-            ASSERT_EQ(want->stats.cache, CacheOutcome::kUncached);
+      auto db = setalg::testing::RandomDatabase(schema, 40, 12, seed);
+      util::Rng rng(seed * 1013);
+      for (int step = 0; step < 5; ++step) {
+        MutateDatabase(&db, &rng, seed, step);
+        for (std::size_t i = 0; i < exprs.size(); ++i) {
+          const std::string context = what + " step=" + std::to_string(step) +
+                                      " expr=" + std::to_string(i);
+          auto want = fresh.Run(exprs[i], db);
+          ASSERT_TRUE(want.ok()) << context << ": " << want.error();
+          ASSERT_EQ(want->stats.cache, CacheOutcome::kUncached);
 
-            // First touch after the mutation: may be served any way —
-            // including a result hit, when the mutation happened to leave
-            // this expression's read set untouched — but never silently
-            // stale: identical to the fresh run or bust.
-            auto first = cached.Run(exprs[i], db);
-            ASSERT_TRUE(first.ok()) << context << ": " << first.error();
-            EXPECT_EQ(first->relation.flat(), want->relation.flat())
-                << context << " (first)";
-            ExpectIdenticalStats(want->stats, first->stats, context + " (first)");
+          // First touch after the mutation: may be served any way —
+          // including a result hit, when the mutation happened to leave
+          // this expression's read set untouched — but never silently
+          // stale: identical to the fresh run or bust.
+          auto first = cached.Run(exprs[i], db);
+          ASSERT_TRUE(first.ok()) << context << ": " << first.error();
+          EXPECT_EQ(first->relation.flat(), want->relation.flat())
+              << context << " (first)";
+          ExpectIdenticalStats(want->stats, first->stats, context + " (first)");
 
-            // Second touch with no intervening mutation: whole-result
-            // replay, still byte-identical.
-            auto second = cached.Run(exprs[i], db);
-            ASSERT_TRUE(second.ok()) << context << ": " << second.error();
-            EXPECT_EQ(second->stats.cache, CacheOutcome::kResultHit) << context;
-            EXPECT_EQ(second->relation.flat(), want->relation.flat())
-                << context << " (second)";
-            ExpectIdenticalStats(want->stats, second->stats,
-                                 context + " (second)");
-          }
+          // Second touch with no intervening mutation: whole-result
+          // replay, still byte-identical.
+          auto second = cached.Run(exprs[i], db);
+          ASSERT_TRUE(second.ok()) << context << ": " << second.error();
+          EXPECT_EQ(second->stats.cache, CacheOutcome::kResultHit) << context;
+          EXPECT_EQ(second->relation.flat(), want->relation.flat())
+              << context << " (second)";
+          ExpectIdenticalStats(want->stats, second->stats,
+                               context + " (second)");
         }
-        EXPECT_GT(results->stats().hits, 0u) << what;
-        EXPECT_GT(results->stats().insertions, 0u) << what;
       }
+      EXPECT_GT(results->stats().hits, 0u) << what;
+      EXPECT_GT(results->stats().insertions, 0u) << what;
     }
   }
 }
@@ -702,8 +693,8 @@ TEST(ResultCacheTest, DifferentialUnderRandomizedMutations) {
 // The invalidation law, deterministically: a result hit can never survive
 // a version-vector change on any relation the expression reads — and is
 // unaffected by mutations outside its read set. Also pins down the
-// options-fingerprint keying: engines with different semantics never
-// share a stored result.
+// options-fingerprint keying: engines with different options never share
+// a stored result.
 TEST(ResultCacheTest, HitNeverSurvivesVersionVectorChange) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}, {3, 20}}), MakeRel(1, {{10}, {20}}));
@@ -755,12 +746,10 @@ TEST(ResultCacheTest, HitNeverSurvivesVersionVectorChange) {
   ASSERT_TRUE(r_only_hit.ok());
   EXPECT_EQ(r_only_hit->stats.cache, CacheOutcome::kResultHit);
 
-  // A second engine with different semantics shares the cache object but
+  // A second engine with different options shares the cache object but
   // not the entries: the options fingerprint partitions the key space.
-  EngineOptions batched_options = options;
-  batched_options.batched = true;
-  const Engine batched(batched_options);
-  auto cross = batched.Run(division, db);
+  const Engine resized(options.WithBatchSize(7));
+  auto cross = resized.Run(division, db);
   ASSERT_TRUE(cross.ok());
   EXPECT_NE(cross->stats.cache, CacheOutcome::kResultHit);
   auto plain = Engine().Run(division, db);

@@ -27,6 +27,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -246,7 +247,25 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
   std::vector<std::vector<Record>> records(kClients);
   std::vector<std::string> failures;
 
+  // The latch that makes the race certain rather than likely: the writer
+  // commits only after the clients have answered kAnsweredBeforeCommits
+  // statements (all pinned to the initial version), and each client
+  // sends the second half of its statements only after the first commit
+  // is published. A failed client opens the latch so nobody waits on it.
+  constexpr int kAnsweredBeforeCommits = 2 * kClients;
+  std::mutex latch_mu;
+  std::condition_variable latch_cv;
+  int answered = 0;
+  bool client_failed = false;
+  bool committed = false;
+
   std::thread writer([&] {
+    {
+      std::unique_lock<std::mutex> lock(latch_mu);
+      latch_cv.wait(lock, [&] {
+        return answered >= kAnsweredBeforeCommits || client_failed;
+      });
+    }
     util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 17);
     for (int c = 0; c < kCommits; ++c) {
       txn::SnapshotPtr snap;
@@ -277,6 +296,11 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
         std::lock_guard<std::mutex> lock(log_mu);
         published[snap->version()] = snap;
       }
+      if (c == 0) {
+        std::lock_guard<std::mutex> lock(latch_mu);
+        committed = true;
+        latch_cv.notify_all();
+      }
       std::this_thread::yield();
     }
   });
@@ -284,10 +308,18 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
+      auto fail = [&](std::string failure) {
+        {
+          std::lock_guard<std::mutex> lock(log_mu);
+          failures.push_back(std::move(failure));
+        }
+        std::lock_guard<std::mutex> lock(latch_mu);
+        client_failed = true;
+        latch_cv.notify_all();
+      };
       auto client = server::Client::Connect("127.0.0.1", fixture.port);
       if (!client.ok()) {
-        std::lock_guard<std::mutex> lock(log_mu);
-        failures.push_back("connect: " + client.error());
+        fail("connect: " + client.error());
         return;
       }
       util::Rng rng(seed + 1000 + static_cast<std::uint64_t>(c));
@@ -298,12 +330,14 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
       auto prep = client->Roundtrip("PREPARE " + name + " " +
                                     prepared_statement);
       if (!prep.ok() || !prep->header.ok) {
-        std::lock_guard<std::mutex> lock(log_mu);
-        failures.push_back("prepare: " +
-                           (prep.ok() ? prep->header.error : prep.error()));
+        fail("prepare: " + (prep.ok() ? prep->header.error : prep.error()));
         return;
       }
       for (int q = 0; q < kStatementsPerClient; ++q) {
+        if (q == kStatementsPerClient / 2) {
+          std::unique_lock<std::mutex> lock(latch_mu);
+          latch_cv.wait(lock, [&] { return committed || client_failed; });
+        }
         std::string statement;
         std::string request;
         if (q % 5 == 4) {
@@ -315,15 +349,15 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
         }
         auto response = client->Roundtrip(request);
         if (!response.ok() || !response->header.ok) {
-          std::lock_guard<std::mutex> lock(log_mu);
-          failures.push_back(request + ": " +
-                             (response.ok() ? response->header.error
-                                            : response.error()));
+          fail(request + ": " + (response.ok() ? response->header.error
+                                               : response.error()));
           return;
         }
         records[static_cast<std::size_t>(c)].push_back(
             {statement, response->header.version, response->header.digest,
              response->header.rows});
+        std::lock_guard<std::mutex> lock(latch_mu);
+        if (++answered == kAnsweredBeforeCommits) latch_cv.notify_all();
       }
       client->Close();
     });
@@ -367,9 +401,8 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
   EXPECT_EQ(replayed,
             static_cast<std::size_t>(kClients * kStatementsPerClient));
   // The writer really raced the readers: responses span multiple
-  // versions (40 commits against 192 statements makes a single-version
-  // run astronomically unlikely — it would mean every query finished
-  // before the first commit).
+  // versions (the latch pins the first answers to the initial version
+  // and every second-half answer to a later one).
   EXPECT_GT(distinct_versions_seen, 1u);
   EXPECT_EQ(fixture.server->sessions_accepted(),
             static_cast<std::size_t>(kClients));

@@ -6,7 +6,7 @@
 // workload::MakeSqlWorkload (which re-implements the lowering rules of
 // sql/analyzer.h independently), and running both sides through the
 // engine must give bit-identical relations and matching PlanStats across
-// every execution surface: {reference, cost-based, batched, parallel} ×
+// every execution surface: {reference, cost-based, planned, parallel} ×
 // plan-cache {off, on}. Because the trees are structurally equal, the
 // planner's rewrites fire identically on both — the harness additionally
 // pins that the division family routes through the division rewrite and
@@ -89,8 +89,8 @@ std::vector<ModeConfig> Modes() {
   return {
       {"reference", engine::EngineOptions::Reference()},
       {"cost", engine::EngineOptions::CostBased()},
-      {"batched", engine::EngineOptions::Batched()},
-      {"parallel2", engine::EngineOptions::Parallel(2)},
+      {"planned", engine::EngineOptions{}},
+      {"parallel2", engine::EngineOptions{}.WithThreads(2)},
   };
 }
 

@@ -329,7 +329,6 @@ struct StressMode {
 std::vector<StressMode> StressModes() {
   StressMode cost{"cost-based", engine::EngineOptions::CostBased()};
   StressMode batched{"planned-batched", engine::EngineOptions{}};
-  batched.options.batched = true;
   batched.options.batch_size = 64;
   return {std::move(cost), std::move(batched)};
 }
