@@ -178,7 +178,7 @@ std::vector<RuntimeRow> PrintRuntimeTable() {
     }
     {
       // The engine-planned plan with a worker pool: the division operator
-      // fans out across hash partitions of the dividend. The CI gate
+      // fans out across key-range slices of the dividend. The CI gate
       // requires this to beat the serial engine-planned run at the largest
       // n whenever the runner has >= 2 hardware threads.
       const std::size_t threads = ParallelThreads();

@@ -182,7 +182,7 @@ class CostModel {
 
   // -- Partitioned (parallel) execution --------------------------------------
 
-  /// Prices running a serial alternative hash-partitioned by group key
+  /// Prices running a serial alternative range-partitioned by group key
   /// into `partitions` parts on `threads` workers (per ROADMAP: the cost
   /// model prices partition counts): a serial partitioning pass over the
   /// `input_cardinality` tuples, the kernel work spread over

@@ -333,26 +333,33 @@ void MultiwayIterator::Open() {
   const std::size_t num_vars = op_->num_vars();
   const std::size_t parts = ResolvePartitions(op_->partitions(), ctx_);
   if (parts > 1 && num_vars > 0) {
-    // Split every input containing variable 0 by its value (column 1 of
-    // the prepared relation — variables are stored ascending); share the
-    // rest read-only. Each binding's variable-0 value routes it to
-    // exactly one partition, so the per-partition outputs are disjoint
-    // and their ordered merge — in partition-index order — equals the
-    // serial result bit for bit.
-    std::vector<std::vector<PreparedInput>> splits(k);
-    bool any_split = false;
-    for (std::size_t i = 0; i < k; ++i) {
-      if (!prepared[i].vars.empty() && prepared[i].vars[0] == 0) {
+    // Range-split every input containing variable 0 by its value (column
+    // 1 of the prepared relation — variables are stored ascending) under
+    // one split taken from the largest such input; share the rest
+    // read-only. Each binding's variable-0 value routes it to exactly one
+    // partition, and the output leads with variable 0, so the
+    // per-partition outputs are ascending, disjoint ranges whose
+    // concatenation in partition-index order equals the serial result
+    // bit for bit.
+    const PreparedInput* largest = nullptr;
+    for (const PreparedInput& input : prepared) {
+      if (!input.vars.empty() && input.vars[0] == 0 &&
+          (largest == nullptr || input.relation.size() > largest->relation.size())) {
+        largest = &input;
+      }
+    }
+    if (largest != nullptr) {
+      const std::vector<core::Value> split = SplitKeys(largest->relation, 1, parts);
+      std::vector<std::vector<PreparedInput>> splits(k);
+      for (std::size_t i = 0; i < k; ++i) {
+        if (prepared[i].vars.empty() || prepared[i].vars[0] != 0) continue;
         std::vector<core::Relation> pieces =
-            PartitionByColumn(prepared[i].relation, 1, parts);
+            PartitionByColumn(prepared[i].relation, 1, split);
         splits[i].reserve(parts);
         for (auto& piece : pieces) {
           splits[i].push_back(PreparedInput{std::move(piece), prepared[i].vars});
         }
-        any_split = true;
       }
-    }
-    if (any_split) {
       std::vector<core::Relation> outputs(parts, core::Relation(num_vars));
       const auto run_partition = [&](std::size_t p) {
         // Shared (unsplit) inputs are pre-normalized on this (driving)
@@ -370,15 +377,7 @@ void MultiwayIterator::Open() {
       } else {
         for (std::size_t p = 0; p < parts; ++p) run_partition(p);
       }
-      core::Relation merged(num_vars);
-      std::size_t total = 0;
-      for (const auto& output : outputs) total += output.size();
-      merged.Reserve(total);
-      for (const auto& output : outputs) {
-        if (!output.empty()) merged.AddRows(output.flat().data(), output.size());
-      }
-      merged.Normalize();
-      result_ = std::move(merged);
+      result_ = ConcatenatePartitions(outputs, num_vars);
       ctx_.CountPartitions(parts);
       ctx_.CountJoinRows(result_.size());
       pos_ = 0;

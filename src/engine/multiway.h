@@ -12,12 +12,13 @@
 // The operator is implemented once against the engine/batch.h
 // Open/NextBatch/Close contract (a blocking operator, like the division
 // and set-join kernels), so serial and parallel runs of the pipelined
-// executor both run it unchanged. Parallel runs hash-partition every
-// input containing join variable 0 by that variable's column
-// (setjoin::PartitionOfKey, the engine-wide key-partitioning contract),
-// share the rest read-only, and merge the per-partition outputs in
-// partition-index order — results and PlanStats row counts are
-// bit-identical to the serial kernel.
+// executor both run it unchanged. Parallel runs range-partition every
+// input containing join variable 0 by that variable's column under one
+// split (engine::SplitKeys of the largest such input, the engine-wide
+// key-partitioning contract), share the rest read-only, and concatenate
+// the per-partition outputs in partition-index order — already sorted,
+// since the output leads with variable 0 — so results and PlanStats row
+// counts are bit-identical to the serial kernel.
 #ifndef SETALG_ENGINE_MULTIWAY_H_
 #define SETALG_ENGINE_MULTIWAY_H_
 

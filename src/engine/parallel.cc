@@ -1,11 +1,18 @@
 #include "engine/parallel.h"
 
+#include <algorithm>
 #include <utility>
 
-#include "setjoin/grouped.h"
 #include "util/check.h"
 
 namespace setalg::engine {
+namespace {
+
+// Values SplitKeys samples from a column other than column 1: enough for
+// balanced cuts at any pool width, cheap next to the partition pass.
+constexpr std::size_t kSplitSample = 1024;
+
+}  // namespace
 
 WorkerPool::WorkerPool(std::size_t threads) {
   const std::size_t workers = threads <= 1 ? 0 : threads - 1;
@@ -71,22 +78,90 @@ void WorkerPool::WorkerLoop() {
   }
 }
 
+std::vector<core::Value> SplitKeys(const core::Relation& relation, std::size_t column,
+                                   std::size_t parts) {
+  SETALG_CHECK(parts >= 1);
+  SETALG_CHECK(column >= 1 && column <= relation.arity());
+  const std::size_t n = relation.size();
+  std::vector<core::Value> split(parts - 1, core::Value{0});
+  if (n == 0) return split;
+  if (column == 1) {
+    for (std::size_t p = 1; p < parts; ++p) {
+      split[p - 1] = relation.tuple(p * n / parts)[0];
+    }
+    return split;
+  }
+  const std::size_t samples = std::min(n, kSplitSample);
+  std::vector<core::Value> sample(samples);
+  for (std::size_t i = 0; i < samples; ++i) {
+    sample[i] = relation.tuple(i * n / samples)[column - 1];
+  }
+  std::sort(sample.begin(), sample.end());
+  for (std::size_t p = 1; p < parts; ++p) split[p - 1] = sample[p * samples / parts];
+  return split;
+}
+
 std::vector<core::Relation> PartitionByColumn(const core::Relation& relation,
                                               std::size_t column,
-                                              std::size_t partitions) {
-  SETALG_CHECK(partitions >= 1);
+                                              const std::vector<core::Value>& split) {
   SETALG_CHECK(column >= 1 && column <= relation.arity());
+  SETALG_DCHECK(std::is_sorted(split.begin(), split.end()));
+  const std::size_t arity = relation.arity();
   std::vector<core::Relation> out;
-  out.reserve(partitions);
-  for (std::size_t p = 0; p < partitions; ++p) out.emplace_back(relation.arity());
-  for (std::size_t i = 0; i < relation.size(); ++i) {
-    const core::TupleView row = relation.tuple(i);
-    out[setjoin::PartitionOfKey(row[column - 1], partitions)].Add(row);
+  out.reserve(split.size() + 1);
+  for (std::size_t p = 0; p <= split.size(); ++p) out.emplace_back(arity);
+  const std::size_t n = relation.size();
+  if (column == 1) {
+    // Column 1 is the sort key: partition p is the slice of rows from the
+    // first key >= split[p - 1] to the first key >= split[p].
+    const core::Value* rows = relation.flat().data();
+    const auto first_at_least = [&](core::Value key) {
+      std::size_t lo = 0, hi = n;
+      while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (rows[mid * arity] < key) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      return lo;
+    };
+    std::size_t begin = 0;
+    for (std::size_t p = 0; p <= split.size(); ++p) {
+      const std::size_t end = p < split.size() ? first_at_least(split[p]) : n;
+      out[p].AddRows(rows + begin * arity, end - begin);
+      begin = end;
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      const core::TupleView row = relation.tuple(i);
+      const auto it = std::upper_bound(split.begin(), split.end(), row[column - 1]);
+      out[static_cast<std::size_t>(it - split.begin())].Add(row);
+    }
   }
-  // Rows were routed in sorted input order, so each partition is already
+  // Rows were copied in sorted input order, so each partition is already
   // sorted and duplicate-free: normalization is the no-op fast path.
   for (auto& partition : out) partition.Normalize();
   return out;
+}
+
+core::Relation ConcatenatePartitions(const std::vector<core::Relation>& outputs,
+                                     std::size_t arity) {
+  std::size_t total = 0;
+  for (const auto& output : outputs) total += output.size();
+  core::Relation merged(arity);
+  merged.Reserve(total);
+  for (const auto& output : outputs) {
+    if (output.empty()) continue;
+    if (arity == 0) {
+      merged.Add(output.tuple(0));  // {()}: the one zero-ary tuple.
+    } else {
+      merged.AddRows(output.flat().data(), output.size());
+    }
+  }
+  merged.Normalize();  // A linear check for key-leading outputs (see header).
+  return merged;
 }
 
 void PartitionedIterator::Open() {
@@ -103,21 +178,7 @@ void PartitionedIterator::Open() {
   } else {
     for (std::size_t i = 0; i < tasks.size(); ++i) outputs[i] = tasks[i]();
   }
-  // Fan-in on the calling thread, in partition-index order: partitions
-  // hold disjoint key sets, so the concatenation is duplicate-free and
-  // the normalized merge is identical across runs and thread counts.
-  std::size_t total = 0;
-  for (const auto& output : outputs) total += output.size();
-  result_ = core::Relation(arity_);
-  result_.Reserve(total);
-  for (const auto& output : outputs) {
-    if (!output.empty() && arity_ > 0) {
-      result_.AddRows(output.flat().data(), output.size());
-    } else if (!output.empty()) {
-      for (std::size_t i = 0; i < output.size(); ++i) result_.Add(output.tuple(i));
-    }
-  }
-  result_.Normalize();
+  result_ = ConcatenatePartitions(outputs, arity_);
   ctx_.CountPartitions(tasks.size());
   pos_ = 0;
 }

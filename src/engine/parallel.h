@@ -1,27 +1,32 @@
 // Parallel partitioned execution on the batch seam.
 //
 // The paper's fast division and set-join algorithms are embarrassingly
-// partitionable by group key: hash-partition the grouped side so every
+// partitionable by group key: range-partition the grouped side so every
 // group lands wholly in one partition, run the unchanged serial kernel on
-// each partition, and concatenate the per-partition outputs — which are
-// disjoint by construction, so the merged, normalized result (and hence
-// every per-operator PlanStats row count) is bit-identical to the serial
-// run. This header provides the three pieces that make that a reusable
-// execution strategy rather than per-operator thread code:
+// each partition, and concatenate the per-partition outputs. Partitions
+// hold ascending, disjoint key ranges and every kernel output leads with
+// that key, so the concatenation in partition-index order is already the
+// sorted, duplicate-free result: the fan-in's normalization is a linear
+// check, and the result (hence every per-operator PlanStats row count) is
+// bit-identical to the serial run. This header provides the three pieces
+// that make that a reusable execution strategy rather than per-operator
+// thread code:
 //
 //   - WorkerPool: a fixed pool of worker threads (EngineOptions::threads,
 //     raq --threads) that runs one batch of independent tasks at a time;
 //     the calling thread participates, so `threads` is total parallelism.
-//   - PartitionByColumn: deterministic hash routing of a relation's rows
-//     by one column (setjoin::PartitionOfKey, shared with the grouped
-//     builders so row- and group-level partitioning always agree).
+//   - SplitKeys + PartitionByColumn: deterministic key-range routing of a
+//     relation's rows by one column. On column 1 of a normalized relation
+//     a partition is a contiguous slice found by binary search; the
+//     grouped partitioner (setjoin::PartitionByKey) cuts groups by the
+//     same quantile rule, so row- and group-level partitioning agree.
 //   - PartitionedIterator: the fan-out/fan-in BatchIterator. It is a
 //     blocking operator under the ordinary Open/NextBatch/Close contract:
 //     Open() consumes the input streams into per-partition work units
 //     (serial), fans the per-partition kernels out across the pool, fans
-//     the outputs back in — in partition-index order, so repeated runs
-//     merge identically — and streams the normalized result out in
-//     batches. Downstream consumers cannot tell it from the serial
+//     the outputs back in — concatenated in partition-index order, so
+//     repeated runs merge identically — and streams the normalized result
+//     out in batches. Downstream consumers cannot tell it from the serial
 //     operator; the differential harness in tests/batch_exec_test.cc
 //     enforces exactly that.
 //
@@ -84,14 +89,36 @@ class WorkerPool {
   std::vector<std::thread> workers_;
 };
 
-/// Hash-partitions the rows of a normalized relation by `column`
-/// (1-based) into `partitions` relations via setjoin::PartitionOfKey.
-/// Every row with a given column value lands in exactly one partition,
+/// The range-partitioning rule: the `parts - 1` split keys of `column`
+/// (1-based) at row quantiles, split[p - 1] = the key of row p·n/parts for
+/// p in 1..parts-1 (n = relation.size()). Column 1 of a normalized
+/// relation is sorted, so its keys are read directly; any other column is
+/// sampled at evenly spaced rows (at most 1024 values), sorted, and cut
+/// at the same quantiles of the sample. Deterministic; an empty
+/// relation yields `parts - 1` zero keys (every partition stays empty).
+std::vector<core::Value> SplitKeys(const core::Relation& relation, std::size_t column,
+                                   std::size_t parts);
+
+/// Range-partitions the rows of `relation` by `column` (1-based) into
+/// split.size() + 1 relations: a row goes to partition
+/// upper_bound(split, key) - split.begin(), so partition p holds the keys
+/// in [split[p - 1], split[p]) and partitions are ordered by key. Every
+/// row with a given column value lands in exactly one partition,
 /// partitions preserve the input's sorted order (so they normalize for
-/// free), and the multiset union of the partitions is the input.
+/// free), and their concatenation in index order is the input when
+/// `column` is 1 — each partition is then one contiguous slice, copied in
+/// bulk. `split` must be sorted (duplicates leave empty partitions).
 std::vector<core::Relation> PartitionByColumn(const core::Relation& relation,
                                               std::size_t column,
-                                              std::size_t partitions);
+                                              const std::vector<core::Value>& split);
+
+/// The fan-in: concatenates per-partition outputs in partition-index
+/// order and normalizes. Range-partitioned outputs that lead with the
+/// partitioning key (division, set joins, multiway, semijoins on column 1)
+/// are already sorted, so the normalization is a linear check rather than
+/// a sort. Runs on the calling thread after the fan-out.
+core::Relation ConcatenatePartitions(const std::vector<core::Relation>& outputs,
+                                     std::size_t arity);
 
 /// One partition's work: computes that partition's share of the
 /// operator's output. Runs on a worker thread; must only touch state

@@ -735,10 +735,11 @@ class SemiJoinOp final : public PhysicalOp {
       std::vector<std::unique_ptr<BatchIterator>> inputs) const override {
     const std::size_t parts = ResolvePartitions(partitions_, ctx);
     if (parts > 1) {
-      // Co-partition both sides by the first equality atom: rows that can
-      // match share that atom's value, hence a partition, so the disjoint
-      // (left is partitioned) per-partition semijoins union to the serial
-      // output. No equality atom → no co-partitioning key → stay serial.
+      // Co-partition both sides by the first equality atom under one split
+      // (taken from the left side): rows that can match share that atom's
+      // value, hence a key range, so the disjoint (left is partitioned)
+      // per-partition semijoins union to the serial output. No equality
+      // atom → no co-partitioning key → stay serial.
       const ra::JoinAtom* eq = nullptr;
       for (const auto& atom : atoms_) {
         if (atom.op == ra::Cmp::kEq) {
@@ -760,10 +761,12 @@ class SemiJoinOp final : public PhysicalOp {
                   MaterializedInput::From(streams[0].get(), left_arity, batch_size);
               const MaterializedInput right =
                   MaterializedInput::From(streams[1].get(), right_arity, batch_size);
+              const std::vector<core::Value> split =
+                  SplitKeys(left.get(), eq->left, parts);
               auto left_parts = std::make_shared<std::vector<Relation>>(
-                  PartitionByColumn(left.get(), eq->left, parts));
+                  PartitionByColumn(left.get(), eq->left, split));
               auto right_parts = std::make_shared<std::vector<Relation>>(
-                  PartitionByColumn(right.get(), eq->right, parts));
+                  PartitionByColumn(right.get(), eq->right, split));
               std::vector<PartitionTask> tasks;
               tasks.reserve(parts);
               for (std::size_t p = 0; p < parts; ++p) {
@@ -907,9 +910,9 @@ class DivisionOp final : public PhysicalOp {
       ExecContext& ctx,
       std::vector<std::unique_ptr<BatchIterator>> inputs) const override {
     const std::size_t parts = ResolvePartitions(partitions_, ctx);
-    // Every group lies wholly in its key's partition, so dividing each
-    // partition against the shared divisor yields key-disjoint slices of
-    // the serial result — for every direct algorithm. kClassicRa stays
+    // Every group lies wholly in its key's range, so dividing each slice
+    // against the shared divisor yields the serial result's key-ordered
+    // slices — for every direct algorithm. kClassicRa stays
     // serial: it evaluates one RA expression over the whole dividend.
     if (parts > 1 && algorithm_ != setjoin::DivisionAlgorithm::kClassicRa) {
       const std::size_t batch_size = ctx.batch_size();
@@ -926,8 +929,8 @@ class DivisionOp final : public PhysicalOp {
             divisor->get().Normalize();
             const MaterializedInput dividend =
                 MaterializedInput::From(streams[0].get(), 2, batch_size);
-            auto slices = std::make_shared<std::vector<Relation>>(
-                PartitionByColumn(dividend.get(), 1, parts));
+            auto slices = std::make_shared<std::vector<Relation>>(PartitionByColumn(
+                dividend.get(), 1, SplitKeys(dividend.get(), 1, parts)));
             std::vector<PartitionTask> tasks;
             tasks.reserve(parts);
             for (std::size_t p = 0; p < parts; ++p) {
@@ -962,10 +965,11 @@ class DivisionOp final : public PhysicalOp {
 // the whole stream), so these consume their inputs through the shared
 // GroupedBuilder adapter and emit the kernel's result in batches.
 //
-// Partitioned execution splits the left side's groups by key
+// Partitioned execution cuts the left side's groups into key ranges
 // (setjoin::PartitionByKey) and shares the right side read-only: the
 // output is keyed on the left group in column 1, so per-partition kernel
-// outputs are disjoint and the fan-in reproduces the serial result.
+// outputs are disjoint, ascending ranges and their concatenation is the
+// serial result.
 // ---------------------------------------------------------------------------
 
 // The shared fan-out plan of the partitioned set joins: `kernel` is the

@@ -1,6 +1,7 @@
 #include "setjoin/grouped.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "util/check.h"
@@ -10,7 +11,11 @@ namespace setalg::setjoin {
 
 GroupedRelation GroupedBuilder::Build() && {
   GroupedRelation grouped;
-  std::sort(pairs_.begin(), pairs_.end());
+  // Pairs streamed from a normalized relation arrive sorted; one linear
+  // check then replaces the O(n log n) sort.
+  if (!std::is_sorted(pairs_.begin(), pairs_.end())) {
+    std::sort(pairs_.begin(), pairs_.end());
+  }
   for (const auto& [key, element] : pairs_) {
     if (grouped.groups_.empty() || grouped.groups_.back().key != key) {
       grouped.groups_.push_back({key, {}});
@@ -55,24 +60,31 @@ GroupedRelation AsGrouped(const core::Relation& relation, std::size_t key_column
   return GroupedRelation::FromBinary(relation, key_column);
 }
 
-std::size_t PartitionOfKey(core::Value key, std::size_t partitions) {
-  SETALG_DCHECK(partitions >= 1);
-  return static_cast<std::size_t>(util::Mix64(static_cast<std::uint64_t>(key)) %
-                                  partitions);
-}
-
 std::vector<GroupedRelation> PartitionByKey(GroupedRelation grouped,
                                             std::size_t partitions) {
   SETALG_CHECK(partitions >= 1);
-  std::vector<std::vector<Group>> routed(partitions);
-  for (auto& group : std::move(grouped).TakeGroups()) {
-    routed[PartitionOfKey(group.key, partitions)].push_back(std::move(group));
-  }
+  std::vector<Group> groups = std::move(grouped).TakeGroups();
+  std::size_t total = 0;
+  for (const auto& g : groups) total += g.elements.size();
   std::vector<GroupedRelation> out;
   out.reserve(partitions);
-  for (auto& groups : routed) {
-    // Groups arrived in ascending key order, so each partition is ordered.
-    out.push_back(GroupedRelation::FromGroups(std::move(groups)));
+  auto begin = groups.begin();
+  std::size_t seen = 0;  // Elements in the groups before `begin`.
+  for (std::size_t p = 1; p <= partitions; ++p) {
+    auto end = begin;
+    if (p == partitions) {
+      end = groups.end();
+    } else {
+      // Stop at the group holding element `cut`.
+      const std::size_t cut = p * total / partitions;
+      while (end != groups.end() && seen + end->elements.size() <= cut) {
+        seen += end->elements.size();
+        ++end;
+      }
+    }
+    out.push_back(GroupedRelation::FromGroups(std::vector<Group>(
+        std::make_move_iterator(begin), std::make_move_iterator(end))));
+    begin = end;
   }
   return out;
 }

@@ -59,9 +59,11 @@ class GroupedRelation {
 
 /// Incremental grouping adapter: feed (key, element) pairs in any order —
 /// e.g. batch-at-a-time from the engine's set-join operators — then
-/// Build() the grouped view once. GroupedRelation::FromBinary (and hence
-/// AsGrouped) is a thin wrapper over this builder, so the batched and the
-/// whole-relation consumers share one grouping implementation.
+/// Build() the grouped view once. Pairs fed in sorted order (every scan
+/// of a normalized relation) group in one linear pass with no sort.
+/// GroupedRelation::FromBinary (and hence AsGrouped) is a thin wrapper
+/// over this builder, so the batched and the whole-relation consumers
+/// share one grouping implementation.
 class GroupedBuilder {
  public:
   void Reserve(std::size_t pairs) { pairs_.reserve(pairs); }
@@ -70,8 +72,9 @@ class GroupedBuilder {
     pairs_.emplace_back(key, element);
   }
 
-  /// Sorts and deduplicates the accumulated pairs into groups ordered by
-  /// key with sorted, unique element sets. Consumes the builder.
+  /// Sorts (unless already sorted) and deduplicates the accumulated pairs
+  /// into groups ordered by key with sorted, unique element sets.
+  /// Consumes the builder.
   GroupedRelation Build() &&;
 
  private:
@@ -84,19 +87,16 @@ class GroupedBuilder {
 /// GroupedRelation::FromBinary, which remains the implementation.
 GroupedRelation AsGrouped(const core::Relation& relation, std::size_t key_column = 1);
 
-/// The partition a key is routed to under `partitions`-way hash
-/// partitioning (Mix64 of the key, so consecutive keys spread). The one
-/// shared routing function: row-level partitioning (engine/parallel.h)
-/// and the group-level partitioner below must agree, or a group could be
-/// split across partitions and parallel kernels would lose rows.
-std::size_t PartitionOfKey(core::Value key, std::size_t partitions);
-
 /// Partition-aware grouped builder: splits a grouped view into
-/// `partitions` grouped views, routing each group (whole — a group never
-/// spans partitions) to PartitionOfKey(group.key). Groups keep their key
-/// order inside each partition, and the partitioning is deterministic, so
-/// per-partition kernel outputs merge identically across runs and thread
-/// counts. Consumes the input (groups are moved, not copied).
+/// `partitions` grouped views holding contiguous, ascending key ranges.
+/// The cut follows the row-level rule (engine::SplitKeys): with n the
+/// total element count, partition p - 1 ends just before the group that
+/// holds element p·n/partitions, so a group never spans partitions, the
+/// split agrees with range-partitioning the binary relation's rows by
+/// column 1, and every partition holds at most ⌈n/partitions⌉ elements
+/// plus one group's. Deterministic, so per-partition kernel outputs
+/// concatenate identically across runs and thread counts. Consumes the
+/// input (groups are moved, not copied).
 std::vector<GroupedRelation> PartitionByKey(GroupedRelation grouped,
                                             std::size_t partitions);
 

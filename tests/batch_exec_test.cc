@@ -29,6 +29,8 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "engine/multiway.h"
+#include "engine/parallel.h"
 #include "ra/eval.h"
 #include "ra/expr.h"
 #include "ra/rewrite.h"
@@ -601,6 +603,145 @@ TEST(BatchExec, BudgetAbortsOversizedBatchedRuns) {
   auto run = Engine::Run(ra::Product(ra::Rel("R", 2), ra::Rel("S", 1)), db, options);
   ASSERT_FALSE(run.ok());
   EXPECT_NE(run.error().find("budget"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Range partitioning turns the fan-in into a concatenation: the
+// per-partition kernel outputs of division, the set joins and the
+// multiway join, taken in partition-index order, are already strictly
+// ascending before any Normalize() — and equal the partitioned run's
+// result byte for byte.
+// ---------------------------------------------------------------------------
+
+// The row-major concatenation of `outputs` in partition-index order.
+std::vector<core::Value> ConcatenateInOrder(const std::vector<Relation>& outputs) {
+  std::vector<core::Value> flat;
+  for (const auto& output : outputs) {
+    flat.insert(flat.end(), output.flat().begin(), output.flat().end());
+  }
+  return flat;
+}
+
+// True iff the row-major rows of `flat` are strictly ascending.
+bool StrictlyAscending(const std::vector<core::Value>& flat, std::size_t arity) {
+  for (std::size_t i = arity; i < flat.size(); i += arity) {
+    if (!std::lexicographical_compare(flat.begin() + (i - arity), flat.begin() + i,
+                                      flat.begin() + i, flat.begin() + i + arity)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Runs `plan` partitioned on two threads and checks its result against
+// the in-order concatenation of the per-partition outputs.
+void ExpectSortedFanIn(const PhysicalPlan& plan, const core::Database& db,
+                       const std::vector<Relation>& outputs, std::size_t arity,
+                       const std::string& context) {
+  const std::vector<core::Value> concatenated = ConcatenateInOrder(outputs);
+  EXPECT_TRUE(StrictlyAscending(concatenated, arity)) << context;
+  auto run = Engine(EngineOptions{}.WithThreads(2)).Run(plan, db);
+  ASSERT_TRUE(run.ok()) << context << ": " << run.error();
+  EXPECT_GT(run->stats.partitions, 0u) << context;
+  EXPECT_EQ(run->relation.flat(), concatenated) << context;
+}
+
+TEST(BatchExec, PartitionedFanInInputsAreAlreadySorted) {
+  const std::uint64_t base = BaseSeed();
+  workload::DivisionConfig division;
+  division.num_groups = 60;
+  division.group_size = 4;
+  division.domain_size = 20;
+  division.divisor_size = 3;
+  division.match_fraction = 0.4;
+  division.seed = base;
+  const auto d = workload::MakeDivisionInstance(division);
+  const auto division_db = setalg::testing::DivisionDb(d.r, d.s);
+
+  workload::SetJoinConfig setjoin_config;
+  setjoin_config.r_groups = 40;
+  setjoin_config.s_groups = 30;
+  setjoin_config.r_group_size = 6;
+  setjoin_config.s_group_size = 3;
+  setjoin_config.domain_size = 15;
+  setjoin_config.containment_fraction = 0.4;
+  setjoin_config.seed = base;
+  const auto sj = workload::MakeSetJoinInstance(setjoin_config);
+  const auto setjoin_db = workload::SetJoinDatabase(sj);
+
+  const auto triangle_db = TriangleChainDatabase(300, 6, base);
+  const Relation& tr = triangle_db.relation("R");
+  const Relation& ts = triangle_db.relation("S");
+  const Relation& tt = triangle_db.relation("T");
+
+  for (std::size_t parts : {std::size_t{2}, std::size_t{3}, std::size_t{7}}) {
+    const std::string at = " parts " + std::to_string(parts);
+    // Division: dividend slices against the whole divisor.
+    const auto slices = PartitionByColumn(d.r, 1, SplitKeys(d.r, 1, parts));
+    for (const bool equality : {false, true}) {
+      const auto hash = setjoin::DivisionAlgorithm::kHashDivision;
+      std::vector<Relation> outputs;
+      for (const auto& slice : slices) {
+        outputs.push_back(equality ? setjoin::DivideEqual(slice, d.s, hash)
+                                   : setjoin::Divide(slice, d.s, hash));
+      }
+      PhysicalPlan plan;
+      plan.root = MakeDivision(MakeScan("R", 2), MakeScan("S", 1), hash, equality,
+                               nullptr, parts);
+      ExpectSortedFanIn(plan, division_db, outputs, 1,
+                        (equality ? "division=" : "division") + at);
+    }
+
+    // Set joins: left key ranges against the whole right side.
+    const auto right = setjoin::AsGrouped(sj.s);
+    const auto left = setjoin::PartitionByKey(setjoin::AsGrouped(sj.r), parts);
+    {
+      const auto signature = setjoin::ContainmentAlgorithm::kSignatureNestedLoop;
+      const auto canonical = setjoin::EqualityJoinAlgorithm::kCanonicalHash;
+      std::vector<Relation> contain, equal, overlap;
+      for (const auto& chunk : left) {
+        contain.push_back(setjoin::SetContainmentJoin(chunk, right, signature));
+        equal.push_back(setjoin::SetEqualityJoin(chunk, right, canonical));
+        overlap.push_back(setjoin::SetOverlapJoin(chunk, right));
+      }
+      PhysicalPlan plan;
+      plan.root = MakeSetContainmentJoin(MakeScan("R", 2), MakeScan("S", 2), signature,
+                                         nullptr, parts);
+      ExpectSortedFanIn(plan, setjoin_db, contain, 2, "containment" + at);
+      plan.root = MakeSetEqualityJoin(MakeScan("R", 2), MakeScan("S", 2), canonical,
+                                      nullptr, parts);
+      ExpectSortedFanIn(plan, setjoin_db, equal, 2, "equality" + at);
+      plan.root = MakeSetOverlapJoin(MakeScan("R", 2), MakeScan("S", 2), nullptr, parts);
+      ExpectSortedFanIn(plan, setjoin_db, overlap, 2, "overlap" + at);
+    }
+
+    // Multiway triangle R(a,b) ⋈ S(b,c) ⋈ T(c,a): R and T hold variable
+    // a (R in column 1, T in column 2) and split on one set of ranges of
+    // a; S is shared. Each partition's serial join is one fan-in input.
+    {
+      const auto split = SplitKeys(tr, 1, parts);
+      const auto r_parts = PartitionByColumn(tr, 1, split);
+      const auto t_parts = PartitionByColumn(tt, 2, split);
+      const auto triangle = [](std::size_t partitions) {
+        PhysicalPlan plan;
+        plan.root =
+            MakeMultiwayJoin({MakeScan("R", 2), MakeScan("S", 2), MakeScan("T", 2)},
+                             {{0, 1}, {1, 2}, {2, 0}}, 3, nullptr, partitions);
+        return plan;
+      };
+      std::vector<Relation> outputs;
+      for (std::size_t p = 0; p < parts; ++p) {
+        core::Database part_db(triangle_db.schema());
+        part_db.SetRelation("R", r_parts[p]);
+        part_db.SetRelation("S", ts);
+        part_db.SetRelation("T", t_parts[p]);
+        auto run = Engine().Run(triangle(1), part_db);
+        ASSERT_TRUE(run.ok()) << run.error();
+        outputs.push_back(run->relation);
+      }
+      ExpectSortedFanIn(triangle(parts), triangle_db, outputs, 3, "multiway" + at);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -236,7 +236,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Partition-boundary edge cases: shapes where key-hash partitioning
+// Partition-boundary edge cases: shapes where key-range partitioning
 // degenerates — more partitions than groups, every row in one partition,
 // empty partitions, a divisor no per-partition group can cover — must
 // agree with the serial kernels for every algorithm, executed serial and

@@ -195,9 +195,9 @@ TEST(MultiwayJoin, StarMatchesReference) {
 }
 
 TEST(MultiwayJoin, SkewedKeyStaysCorrectUnderPartitioning) {
-  // One heavy variable-0 value (most rows share key 1): hash-partitioning
-  // by variable 0 lands nearly everything in one task; the merge must
-  // still be exact.
+  // One heavy variable-0 value (most rows share key 1): range-partitioning
+  // by variable 0 repeats key 1 as a split value, lands nearly everything
+  // in one task and leaves empty ones; the merge must still be exact.
   Relation r(2), s(2), t(2);
   util::Rng rng(41);
   for (std::size_t i = 0; i < 80; ++i) {
