@@ -196,9 +196,7 @@ std::vector<RuntimeRow> PrintRuntimeTable() {
       // statistics) is paid once instead of per call. The CI gate holds
       // this at <= 1.0x engine-planned; the JSON also records the cache
       // outcome so a silent regression to re-lowering would show up.
-      engine::EngineOptions options;
-      options.plan_cache_entries = 8;
-      const engine::Engine engine(options);
+      const engine::Engine engine(engine::EngineOptions{}.WithPlanCache(8));
       auto handle = engine.Prepare(expr, db);
       if (!handle.ok()) {
         std::fprintf(stderr, "prepare failed: %s\n", handle.error().c_str());
@@ -246,11 +244,9 @@ std::vector<RuntimeRow> PrintRuntimeTable() {
       // CI gate requires the warm hit to beat the uncached engine-planned
       // run; the recorded outcome ("result-hit") makes a silent
       // regression to re-execution visible.
-      engine::EngineOptions options;
-      options.plan_cache_entries = 0;
-      options.shared_plan_cache = std::make_shared<engine::SharedPlanCache>(8, 0);
-      options.result_cache = std::make_shared<engine::ResultCache>(8, 0);
-      const engine::Engine engine(options);
+      const engine::Engine engine(engine::EngineOptions{}.WithSharedCaches(
+          std::make_shared<engine::SharedPlanCache>(8, 0),
+          std::make_shared<engine::ResultCache>(8, 0)));
       {
         auto warm = engine.Run(expr, db);  // Populate the result cache.
         if (!warm.ok()) {
@@ -442,9 +438,7 @@ void BM_PreparedDivision(benchmark::State& state) {
   const auto instance = Instance(static_cast<std::size_t>(state.range(0)));
   const auto db = InstanceDb(instance);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
-  engine::EngineOptions options;
-  options.plan_cache_entries = 8;
-  const engine::Engine engine(options);
+  const engine::Engine engine(engine::EngineOptions{}.WithPlanCache(8));
   const auto handle = engine.Prepare(expr, db);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.Run(*handle, db));

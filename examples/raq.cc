@@ -32,11 +32,11 @@
 //
 // Concurrent serving: several statements may follow `--`, and
 // --sessions N runs that query list from N threads against one shared
-// engine and one snapshot of a txn::VersionedDatabase head, through the
-// process-wide shared plan cache and result cache. Each session prints a
-// digest line per query (FNV over the result's flat bytes) — sessions on
-// one snapshot always print identical digests, which makes this the
-// smoke entry point for the MVCC serving path.
+// engine and one snapshot of a txn::VersionedDatabase head, through a
+// result cache and the --plan-cache plan cache, if any. Each session
+// prints a digest line per query (FNV over the result's flat bytes) —
+// sessions on one snapshot always print identical digests, which makes
+// this the smoke entry point for the MVCC serving path.
 //
 // Client mode: --connect HOST:PORT skips the local engine entirely and
 // sends every statement to a running setalgd (examples/setalgd.cc) as
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   bool threads_given = false;
   long long batch_size = static_cast<long long>(engine::kDefaultBatchSize);
   long long threads = 1;
-  long long plan_cache_entries = 0;
+  long long plan_cache_capacity = 0;
   long long sessions = 0;
   bool after_separator = false;
   const std::size_t nargs = args.size();
@@ -106,10 +106,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--calibrate") {
       calibrate = true;
     } else if (arg == "--plan-cache") {
-      plan_cache_entries = 64;
+      plan_cache_capacity = 64;
       // Optional capacity operand (the next token, when numeric).
-      if (i + 1 < nargs && util::ParseInt64(args[i + 1], &plan_cache_entries)) {
-        if (plan_cache_entries < 1) {
+      if (i + 1 < nargs && util::ParseInt64(args[i + 1], &plan_cache_capacity)) {
+        if (plan_cache_capacity < 1) {
           std::fprintf(stderr, "--plan-cache needs a positive entry count\n");
           return 2;
         }
@@ -275,14 +275,24 @@ int main(int argc, char** argv) {
   // Statements run in order through one engine, so later statements plan
   // with whatever the earlier ones taught the store.
   if (calibrate) options = options.WithCalibration();
-  options = options.WithPlanCache(static_cast<std::size_t>(plan_cache_entries));
+  options = options.WithPlanCache(static_cast<std::size_t>(plan_cache_capacity));
+
+  // The plan cache's state after the statements (-v).
+  const auto print_plan_cache = [verbose](const engine::Engine& engine) {
+    const engine::SharedPlanCache* cache = engine.plan_cache();
+    if (!verbose || cache == nullptr) return;
+    const auto stats = cache->stats();
+    std::fprintf(stderr,
+                 "-- plan cache: %zu entr%s, ~%zu bytes; %zu hit(s), %zu miss(es), "
+                 "%zu revalidation(s), %zu repick(s)\n",
+                 cache->size(), cache->size() == 1 ? "y" : "ies", cache->bytes(),
+                 stats.hits, stats.misses, stats.revalidations, stats.repicks);
+  };
 
   if (sessions > 0) {
-    // Concurrent serving: N session threads share one engine and one
-    // snapshot of a versioned head, through the process-wide caches. The
-    // engine-local plan cache stays off (it is single-threaded).
-    options.plan_cache_entries = 0;
-    options.shared_plan_cache = std::make_shared<engine::SharedPlanCache>(256, 0);
+    // Concurrent serving: N session threads share one engine (and its
+    // plan cache, if any) and one snapshot of a versioned head, through a
+    // result cache.
     options.result_cache =
         std::make_shared<engine::ResultCache>(256, std::size_t{64} << 20);
     const engine::Engine engine(options);
@@ -316,16 +326,9 @@ int main(int argc, char** argv) {
     for (const auto& session_lines : reports) {
       for (const auto& line : session_lines) std::printf("%s\n", line.c_str());
     }
+    print_plan_cache(engine);
     if (verbose) {
-      const auto plan_stats = options.shared_plan_cache->stats();
       const auto result_stats = options.result_cache->stats();
-      std::fprintf(stderr,
-                   "-- shared plan cache: %zu entr%s; %zu hit(s), %zu miss(es), "
-                   "%zu revalidation(s), %zu repick(s)\n",
-                   options.shared_plan_cache->size(),
-                   options.shared_plan_cache->size() == 1 ? "y" : "ies",
-                   plan_stats.hits, plan_stats.misses, plan_stats.revalidations,
-                   plan_stats.repicks);
       std::fprintf(stderr,
                    "-- result cache: %zu entr%s, ~%zu bytes; %zu hit(s), "
                    "%zu miss(es), %zu invalidation(s)\n",
@@ -341,7 +344,7 @@ int main(int argc, char** argv) {
   int exit_code = 0;
   for (const auto& parsed : parsed_list) {
     auto run = engine.Run(parsed, db);
-    if (run.ok() && plan_cache_entries > 0) {
+    if (run.ok() && plan_cache_capacity > 0) {
       // Second execution: served from the cache (a hit on the unchanged
       // database), so the CLI demonstrates the prepared hot path end to end.
       run = engine.Run(parsed, db);
@@ -379,21 +382,8 @@ int main(int argc, char** argv) {
                      run->stats.threads_used, run->stats.partitions);
       }
       if (run->stats.cache != engine::CacheOutcome::kUncached) {
-        // The engine-local cache may be absent when the outcome came from
-        // the shared caches (e.g. result-hit) — never dereference it then.
-        const auto* cache = engine.plan_cache();
-        if (cache != nullptr) {
-          std::fprintf(stderr,
-                       "-- plan-cache: %s (%zu entr%s, ~%zu bytes; %zu hit(s), "
-                       "%zu miss(es), %zu revalidation(s), %zu repick(s))\n",
-                       engine::CacheOutcomeToString(run->stats.cache), cache->size(),
-                       cache->size() == 1 ? "y" : "ies", cache->bytes(),
-                       cache->stats().hits, cache->stats().misses,
-                       cache->stats().revalidations, cache->stats().repicks);
-        } else {
-          std::fprintf(stderr, "-- cache: %s\n",
-                       engine::CacheOutcomeToString(run->stats.cache));
-        }
+        std::fprintf(stderr, "-- cache: %s\n",
+                     engine::CacheOutcomeToString(run->stats.cache));
       }
       for (const auto& op : run->stats.ops) {
         if (op.has_estimate) {
@@ -413,6 +403,7 @@ int main(int argc, char** argv) {
       }
     }
   }
+  print_plan_cache(engine);
   if (verbose && options.calibration != nullptr) {
     std::fprintf(stderr, "-- %s\n", options.calibration->Summary().c_str());
   }

@@ -293,30 +293,28 @@ const stats::StatsProvider* Engine::StatsFor(const core::DatabaseView& db) const
   return db_stats_.get();
 }
 
-PlanCache* Engine::EnsureCache() const {
-  if (options_.plan_cache_entries == 0) return nullptr;
-  if (plan_cache_ == nullptr) {
-    plan_cache_ = std::make_unique<PlanCache>(options_.plan_cache_entries,
-                                              options_.plan_cache_bytes);
-  }
-  return plan_cache_.get();
-}
-
 void Engine::ClearPlanCache() const {
-  if (plan_cache_ != nullptr) plan_cache_->Clear();
+  if (options_.plan_cache != nullptr) options_.plan_cache->Clear();
 }
 
-util::Result<RunResult> Engine::RunCached(const CachedPlanPtr& entry,
-                                          const core::DatabaseView& db) const {
-  const CacheOutcome outcome =
-      RevalidateCachedPlan(*entry, db, StatsFor(db), options_);
-  // No-op for entries the cache is not holding (detached hand-built
-  // handles, evicted entries): the tallies only count runs it served.
-  if (plan_cache_ != nullptr) plan_cache_->NoteUse(entry, outcome);
-  ++entry->uses;
-  auto run = RunImpl(entry->plan, db);
-  if (run.ok()) run->stats.cache = outcome;
-  return run;
+util::Result<SharedPlanCache::Acquired> Engine::AcquirePlan(
+    const ra::ExprPtr& expr, const core::DatabaseView& db, SharedPlanPtr own) const {
+  const SharedPlanCache* cache = expr != nullptr ? options_.plan_cache.get() : nullptr;
+  SharedPlanCache::Acquired acquired;
+  if (cache != nullptr) {
+    acquired = cache->Acquire(expr, db, StatsFor(db), options_);
+    if (acquired.entry != nullptr) return acquired;
+  }
+  if (own != nullptr) {
+    acquired.outcome = RevalidateCachedPlan(&own, db, StatsFor(db), options_);
+    acquired.entry = std::move(own);
+  } else {
+    auto plan = Plan(expr, db);
+    if (!plan.ok()) return util::Result<SharedPlanCache::Acquired>::Error(plan.error());
+    acquired.entry = MakeCachedPlan(expr, db, std::move(*plan));
+  }
+  if (cache != nullptr) cache->Insert(acquired.entry, options_);
+  return acquired;
 }
 
 util::Result<RunResult> Engine::Run(const ra::ExprPtr& expr,
@@ -324,7 +322,7 @@ util::Result<RunResult> Engine::Run(const ra::ExprPtr& expr,
   const ResultCache* results = options_.result_cache.get();
   if (results == nullptr) {
     PhysicalOpPtr pin;
-    return RunWithPlanCaches(expr, db, &pin);
+    return RunWithPlanCache(expr, db, &pin);
   }
   const std::uint64_t fp = OptionsFingerprint(options_);
   if (auto hit = results->Lookup(expr, db, fp)) {
@@ -334,7 +332,7 @@ util::Result<RunResult> Engine::Run(const ra::ExprPtr& expr,
     return util::Result<RunResult>(std::move(out));
   }
   PhysicalOpPtr pin;
-  auto run = RunWithPlanCaches(expr, db, &pin);
+  auto run = RunWithPlanCache(expr, db, &pin);
   if (run.ok()) {
     // Key the stored result on the versions of exactly the relations the
     // expression reads. Consistent with the data the run saw: a
@@ -347,72 +345,29 @@ util::Result<RunResult> Engine::Run(const ra::ExprPtr& expr,
   return run;
 }
 
-util::Result<RunResult> Engine::RunWithPlanCaches(const ra::ExprPtr& expr,
-                                                  const core::DatabaseView& db,
-                                                  PhysicalOpPtr* pin) const {
-  if (const SharedPlanCache* shared = options_.shared_plan_cache.get()) {
-    // The process-wide cache takes precedence over the engine-local one:
-    // entries are immutable and revalidated by replacement, so this path
-    // is safe from any number of threads.
-    auto acquired = shared->Acquire(expr, db, StatsFor(db), options_);
-    SharedPlanPtr entry = std::move(acquired.entry);
-    if (entry == nullptr) {
-      auto plan = Plan(expr, db);
-      if (!plan.ok()) return util::Result<RunResult>::Error(plan.error());
-      entry = shared->Insert(MakeCachedPlan(expr, db, std::move(*plan)), options_);
-    }
-    auto run = RunImpl(entry->plan, db);
-    if (run.ok()) run->stats.cache = acquired.outcome;
-    *pin = entry->plan.root;
-    return run;
-  }
-  PlanCache* cache = EnsureCache();
-  if (cache != nullptr) {
-    if (CachedPlanPtr entry = cache->Lookup(expr, db.id())) {
-      auto run = RunCached(entry, db);
-      *pin = entry->plan.root;  // After the run: revalidation may swap it.
-      return run;
-    }
+util::Result<RunResult> Engine::RunWithPlanCache(const ra::ExprPtr& expr,
+                                                 const core::DatabaseView& db,
+                                                 PhysicalOpPtr* pin) const {
+  if (options_.plan_cache == nullptr) {
     auto plan = Plan(expr, db);
     if (!plan.ok()) return util::Result<RunResult>::Error(plan.error());
-    const CachedPlanPtr entry =
-        cache->Insert(MakeCachedPlan(expr, db, std::move(*plan)));
-    cache->RecordOutcome(CacheOutcome::kMiss);
-    ++entry->uses;
-    auto run = RunImpl(entry->plan, db);
-    if (run.ok()) run->stats.cache = CacheOutcome::kMiss;
-    *pin = entry->plan.root;
-    return run;
+    *pin = plan->root;
+    return RunImpl(*plan, db);
   }
-  auto plan = Plan(expr, db);
-  if (!plan.ok()) return util::Result<RunResult>::Error(plan.error());
-  auto run = RunImpl(*plan, db);
-  *pin = plan->root;
+  auto acquired = AcquirePlan(expr, db, nullptr);
+  if (!acquired.ok()) return util::Result<RunResult>::Error(acquired.error());
+  *pin = acquired->entry->plan.root;
+  auto run = RunImpl(acquired->entry->plan, db);
+  if (run.ok()) run->stats.cache = acquired->outcome;
   return run;
 }
 
 util::Result<PreparedQuery> Engine::Prepare(const ra::ExprPtr& expr,
                                             const core::DatabaseView& db) const {
   SETALG_CHECK(expr != nullptr);
-  PlanCache* cache = EnsureCache();
-  if (cache != nullptr) {
-    if (CachedPlanPtr entry = cache->Lookup(expr, db.id())) {
-      // Reuse the transparently cached plan: the handle and the cache
-      // share one entry, so each keeps the other's revalidations warm.
-      const CacheOutcome outcome =
-          RevalidateCachedPlan(*entry, db, StatsFor(db), options_);
-      cache->NoteUse(entry, outcome);
-      return util::Result<PreparedQuery>(PreparedQuery(std::move(entry)));
-    }
-  }
-  auto plan = Plan(expr, db);
-  if (!plan.ok()) return util::Result<PreparedQuery>::Error(plan.error());
-  CachedPlanPtr entry = MakeCachedPlan(expr, db, std::move(*plan));
-  if (cache != nullptr) {
-    cache->Insert(entry);
-    cache->RecordOutcome(CacheOutcome::kMiss);
-  }
-  return util::Result<PreparedQuery>(PreparedQuery(std::move(entry)));
+  auto acquired = AcquirePlan(expr, db, nullptr);
+  if (!acquired.ok()) return util::Result<PreparedQuery>::Error(acquired.error());
+  return util::Result<PreparedQuery>(PreparedQuery(std::move(acquired->entry)));
 }
 
 util::Result<PreparedQuery> Engine::Prepare(PhysicalPlan plan,
@@ -429,7 +384,7 @@ util::Result<PreparedQuery> Engine::Prepare(PhysicalPlan plan,
 util::Result<RunResult> Engine::Run(const PreparedQuery& prepared,
                                     const core::DatabaseView& db) const {
   SETALG_CHECK(prepared.valid());
-  const CachedPlanPtr& entry = prepared.entry_;
+  const SharedPlanPtr& entry = prepared.entry_;
   if (entry->db_id != db.id()) {
     // Prepared against a different database instance. Same-named
     // relations on another database are different data — never reuse the
@@ -439,7 +394,13 @@ util::Result<RunResult> Engine::Run(const PreparedQuery& prepared,
     if (entry->expr != nullptr) return Run(entry->expr, db);
     return RunImpl(entry->plan, db);
   }
-  return RunCached(entry, db);
+  // The handle's own plan never needs lowering, so this cannot fail.
+  auto acquired = AcquirePlan(entry->expr, db, entry);
+  SETALG_CHECK(acquired.ok());
+  prepared.entry_ = std::move(acquired->entry);
+  auto run = RunImpl(prepared.entry_->plan, db);
+  if (run.ok()) run->stats.cache = acquired->outcome;
+  return run;
 }
 
 util::Result<PhysicalPlan> Engine::Plan(const ra::ExprPtr& expr,

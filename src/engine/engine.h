@@ -24,8 +24,8 @@
 #include "core/database.h"
 #include "core/relation.h"
 #include "engine/physical.h"
-#include "engine/plan_cache.h"
 #include "engine/planner.h"
+#include "engine/shared_cache.h"
 #include "ra/eval.h"
 #include "ra/expr.h"
 #include "stats/stats.h"
@@ -47,6 +47,9 @@ struct RunResult {
 /// plan alive across cache eviction and Engine::ClearPlanCache — and
 /// stays correct across database mutation: every execution revalidates
 /// the version vector first and re-costs (never re-lowers) on mismatch.
+/// Handles are session-scoped: each execution repoints the handle to the
+/// plan it ran (the cache's entry, or a revalidated copy), so one handle
+/// must not be run from two threads at once.
 class PreparedQuery {
  public:
   PreparedQuery() = default;
@@ -63,22 +66,19 @@ class PreparedQuery {
   /// Id of the database instance the handle was prepared against.
   std::uint64_t database_id() const { return entry().db_id; }
 
-  /// The version vector the plan was last costed against (mutates on
-  /// revalidation).
+  /// The version vector the plan was last costed against (advances when
+  /// an execution revalidates).
   const stats::VersionVector& versions() const { return entry().versions; }
 
   const PhysicalPlan& plan() const { return entry().plan; }
 
-  /// Runs served from this handle's entry so far.
-  std::size_t uses() const { return entry().uses; }
-
-  /// Approximate resident footprint of the owned plan (what the cache's
-  /// byte budget charges; revalidation may resize it in place).
+  /// Approximate resident footprint of the plan (what the cache's byte
+  /// budget charges for it).
   std::size_t approx_bytes() const { return entry().approx_bytes; }
 
  private:
   friend class Engine;
-  explicit PreparedQuery(CachedPlanPtr entry) : entry_(std::move(entry)) {}
+  explicit PreparedQuery(SharedPlanPtr entry) : entry_(std::move(entry)) {}
 
   /// Every accessor funnels through here so an empty (default-constructed
   /// or moved-from) handle fails the valid() check loudly instead of
@@ -90,7 +90,8 @@ class PreparedQuery {
     return *entry_;
   }
 
-  CachedPlanPtr entry_;
+  /// Repointed by Engine::Run(prepared, db) to the plan that ran.
+  mutable SharedPlanPtr entry_;
 };
 
 /// Every entry point takes a core::DatabaseView — a live core::Database
@@ -98,15 +99,14 @@ class PreparedQuery {
 /// evaluation and MVCC snapshot serving.
 ///
 /// Thread-safety: an Engine is safe for concurrent Run(expr, view) calls
-/// iff (a) every view passed is its own thread-safe statistics provider
+/// iff every view passed is its own thread-safe statistics provider
 /// (txn::Snapshot is; a live Database routes through the engine's
-/// memoized, single-threaded stats::DatabaseStats) and (b) the
-/// engine-local plan cache is disabled (plan_cache_entries == 0) — use
-/// the process-wide EngineOptions::shared_plan_cache / result_cache
-/// instead, which are striped/locked and shareable across engines and
-/// threads. Prepared handles remain session-scoped (single-threaded).
-/// The worker-pool parallelism of EngineOptions::threads lives *inside*
-/// a run and is unaffected by any of this.
+/// memoized, single-threaded stats::DatabaseStats). The plan and result
+/// caches (EngineOptions::plan_cache / result_cache) are striped and
+/// locked, and shareable across engines and threads. Prepared handles
+/// remain session-scoped (single-threaded). The worker-pool parallelism
+/// of EngineOptions::threads lives *inside* a run and is unaffected by
+/// any of this.
 class Engine {
  public:
   /// An engine with the default (rewrite-enabled) options.
@@ -117,7 +117,7 @@ class Engine {
 
   /// Plans and executes `expr` on `db`. Schema mismatches and budget
   /// violations come back as Result errors, never aborts. With
-  /// EngineOptions::plan_cache_entries > 0 the lowered plan is cached
+  /// EngineOptions::plan_cache set the lowered plan is cached
   /// transparently, keyed on the expression's structure and db.id():
   /// repeated runs of the same shape skip lowering entirely (hit) or
   /// re-cost the cached plan from fresh statistics after a mutation
@@ -141,20 +141,20 @@ class Engine {
   util::Result<PreparedQuery> Prepare(PhysicalPlan plan,
                                       const core::DatabaseView& db) const;
 
-  /// Executes a prepared statement: revalidates the handle's version
-  /// vector against `db` (hit → run as-is; mismatch → re-cost the cached
-  /// plan, swapping algorithm choices in place when a decision flips) and
-  /// runs the plan. Handed a database other than the one the handle was
+  /// Executes a prepared statement: resolves the plan as Run(expr, db)
+  /// does, with the handle's own plan standing in for a lowering when the
+  /// cache no longer holds the entry. Either way the plan is revalidated
+  /// against `db` (hit → run as-is; mismatch → re-cost a copy, swapping
+  /// the operators whose decision flips) and the handle is repointed to
+  /// the plan that ran. Handed a database other than the one the handle was
   /// prepared against (by id), falls back to the transparent Run(expr,
   /// db) path — plans never leak across database identities. Results are
   /// always identical to a fresh un-cached Run.
   util::Result<RunResult> Run(const PreparedQuery& prepared,
                               const core::DatabaseView& db) const;
 
-  /// The transparent plan cache (created on first access), or nullptr
-  /// when options().plan_cache_entries == 0. Observable state only
-  /// (sizes, hit/miss/revalidated/repicked tallies).
-  const PlanCache* plan_cache() const { return EnsureCache(); }
+  /// The plan cache (options().plan_cache), or nullptr when disabled.
+  const SharedPlanCache* plan_cache() const { return options_.plan_cache.get(); }
 
   /// Drops every cached plan (prepared handles keep theirs and stay
   /// runnable; the next Run re-lowers and re-inserts).
@@ -208,24 +208,25 @@ class Engine {
   /// per-relation stats within it refresh via the mutation counters.
   const stats::StatsProvider* StatsFor(const core::DatabaseView& db) const;
 
-  /// The plan cache, created on first use (null when disabled).
-  PlanCache* EnsureCache() const;
+  /// Run(expr, db) below the result cache, leaving PlanStats::cache set.
+  /// `*pin` receives the root of the plan that ran (for result-cache
+  /// provenance).
+  util::Result<RunResult> RunWithPlanCache(const ra::ExprPtr& expr,
+                                           const core::DatabaseView& db,
+                                           PhysicalOpPtr* pin) const;
 
-  /// Shared tail of the cached execution paths: revalidate, tally, run.
-  util::Result<RunResult> RunCached(const CachedPlanPtr& entry,
-                                    const core::DatabaseView& db) const;
-
-  /// Run through the plan caches (shared first, then engine-local, then
-  /// uncached), leaving PlanStats::cache set. `*pin` receives the root
-  /// of the plan that actually ran (for result-cache provenance).
-  util::Result<RunResult> RunWithPlanCaches(const ra::ExprPtr& expr,
-                                            const core::DatabaseView& db,
-                                            PhysicalOpPtr* pin) const;
+  /// The plan to run `expr` on, and how it was obtained: through the
+  /// plan cache when one is configured (a hit, or a revalidated copy);
+  /// otherwise `own` (a prepared handle's entry, revalidated by copy) or
+  /// a fresh lowering (kMiss) — published to the cache on the way when
+  /// `expr` is set.
+  util::Result<SharedPlanCache::Acquired> AcquirePlan(const ra::ExprPtr& expr,
+                                                      const core::DatabaseView& db,
+                                                      SharedPlanPtr own) const;
 
   EngineOptions options_;
   mutable std::unique_ptr<stats::DatabaseStats> db_stats_;
   mutable std::uint64_t db_stats_id_ = 0;
-  mutable std::unique_ptr<PlanCache> plan_cache_;
 };
 
 /// Projects PlanStats onto the legacy ra::EvalStats view: operators that

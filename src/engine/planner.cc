@@ -9,6 +9,7 @@
 #include "engine/calibration.h"
 #include "engine/cost.h"
 #include "engine/multiway.h"
+#include "engine/shared_cache.h"
 #include "util/check.h"
 #include "util/hash.h"
 #include "util/str.h"
@@ -592,6 +593,12 @@ EngineOptions EngineOptions::CostBased() {
   EngineOptions options;
   options.cost_based = true;
   return options;
+}
+
+EngineOptions EngineOptions::WithPlanCache(std::size_t entries, std::size_t bytes) const {
+  EngineOptions o = *this;
+  o.plan_cache = entries == 0 ? nullptr : std::make_shared<SharedPlanCache>(entries, bytes);
+  return o;
 }
 
 EngineOptions EngineOptions::WithCalibration(

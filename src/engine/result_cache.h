@@ -9,16 +9,18 @@
 //   (database id, EngineOptions fingerprint, expression structure)
 //
 // and each stores the version vector of every relation the expression
-// reads. A lookup whose stored vector still matches the view is a hit:
-// the stored relation and the producing run's full PlanStats are replayed
-// (with PlanStats::cache = kResultHit — the one field that legally
-// differs from the producing run). A mutated vector makes the entry
-// unreachable immediately — the lookup erases it and reports a miss, so
-// a hit can never survive a version-vector change — and the follow-up
-// insert re-keys the fresh result in its place.
+// reads. Its policy is replay-or-drop: a lookup whose stored vector still
+// matches the view is a hit — the stored relation and the producing run's
+// full PlanStats are replayed (with PlanStats::cache = kResultHit, the
+// one field that legally differs from the producing run). An entry the
+// view has moved past is erased on the spot and the lookup misses, so a
+// hit can never survive a version-vector change; the follow-up insert
+// re-keys the fresh result in its place. A reader on an older snapshot
+// than the entry's just misses: the newer entry stays for the current
+// readers, and that reader's insert is refused (engine/striped_lru.h).
 //
-// Storage is striped/locked like the shared plan cache, LRU-bounded by
-// entry count and by an approximate byte budget dominated by the stored
+// Storage, striping and the LRU + byte budgets are the StripedLru shared
+// with the plan cache; the byte charge is dominated by the stored
 // relations' flat payloads. Each entry pins the producing plan's root
 // operator and canonical expression so the provenance pointers inside
 // the replayed OpStats (`op`, `source`) stay valid for entry lifetime —
@@ -27,15 +29,12 @@
 #define SETALG_ENGINE_RESULT_CACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 
 #include "core/database.h"
 #include "core/relation.h"
 #include "engine/physical.h"
+#include "engine/striped_lru.h"
 #include "ra/expr.h"
 #include "stats/stats.h"
 
@@ -47,10 +46,11 @@ class ResultCache {
   struct Stats {
     std::size_t hits = 0;
     std::size_t misses = 0;
-    /// Lookups that found an entry whose version vector no longer
-    /// matched; the entry was dropped on the spot (also counted in
-    /// `misses`).
+    /// Lookups that found an entry the view had moved past; the entry
+    /// was dropped on the spot (also counted in `misses`).
     std::size_t invalidations = 0;
+    /// Results stored (an older snapshot's result is refused while a
+    /// newer one is resident).
     std::size_t insertions = 0;
     std::size_t evictions = 0;
   };
@@ -65,7 +65,8 @@ class ResultCache {
   /// `max_entries` >= 1 (whole-cache, split evenly over stripes);
   /// `max_bytes` 0 = unbounded. The byte charge per entry is dominated
   /// by the stored relation's flat payload.
-  ResultCache(std::size_t max_entries, std::size_t max_bytes);
+  ResultCache(std::size_t max_entries, std::size_t max_bytes)
+      : store_(max_entries, max_bytes) {}
 
   /// The cached result of `expr` on the view, iff the stored version
   /// vector still matches. Thread-safe.
@@ -83,27 +84,15 @@ class ResultCache {
               PhysicalOpPtr plan_root) const;
 
   /// Drops every entry.
-  void Clear() const;
+  void Clear() const { store_.Clear(); }
 
-  std::size_t size() const;
-  std::size_t bytes() const;
-  std::size_t max_entries() const { return max_entries_; }
-  std::size_t max_bytes() const { return max_bytes_; }
+  std::size_t size() const { return store_.size(); }
+  std::size_t bytes() const { return store_.bytes(); }
+  std::size_t max_entries() const { return store_.max_entries(); }
+  std::size_t max_bytes() const { return store_.max_bytes(); }
   Stats stats() const;
 
  private:
-  struct Key {
-    std::uint64_t db_id = 0;
-    std::uint64_t options_fp = 0;
-    std::uint64_t hash = 0;  // ra::StructuralHash(*expr), precomputed.
-    ra::ExprPtr expr;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const;
-  };
-  struct KeyEqual {
-    bool operator()(const Key& a, const Key& b) const;
-  };
   struct Entry {
     stats::VersionVector versions;
     core::Relation relation{0};
@@ -114,30 +103,9 @@ class ResultCache {
     ra::ExprPtr expr;
     std::size_t approx_bytes = 0;
   };
-  struct Node {
-    std::shared_ptr<const Entry> entry;
-    std::list<Key>::iterator lru;
-    std::size_t charged_bytes = 0;
-  };
-  struct Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<Key, Node, KeyHash, KeyEqual> map;
-    std::list<Key> lru;  // Front = hottest.
-    std::size_t bytes = 0;
-    Stats stats;
-  };
-
   static std::size_t ApproxEntryBytes(const Entry& entry);
-  Stripe& StripeFor(const Key& key) const;
-  static void EvictPastBudgetLocked(Stripe& stripe, std::size_t max_entries,
-                                    std::size_t max_bytes);
 
-  std::size_t max_entries_;
-  std::size_t max_bytes_;
-  std::size_t stripe_max_entries_;
-  std::size_t stripe_max_bytes_;
-  std::size_t num_stripes_;
-  mutable std::unique_ptr<Stripe[]> stripes_;
+  StripedLru<Entry> store_;
 };
 
 }  // namespace setalg::engine

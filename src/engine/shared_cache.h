@@ -1,46 +1,37 @@
-// A process-wide, thread-safe plan cache shared between engines.
+// The engine's plan cache: one thread-safe store of lowered plans,
+// shareable between engines, sessions and threads.
 //
-// The engine-local PlanCache (engine/plan_cache.h) revalidates entries
-// *in place* — fine inside one single-threaded Engine, a data race the
-// moment two threads share a cache. This cache keeps the same hit /
-// revalidated / repicked semantics but makes every resident entry
-// immutable (`shared_ptr<const CachedPlan>`): a version-vector mismatch
-// revalidates a private *copy* of the entry (re-pricing and operator
-// swaps touch only freshly allocated nodes — PhysicalOps themselves are
-// immutable and safely shared between the old and new plan) and then
-// publishes the copy as the new resident entry. Readers still executing
-// the old plan keep it alive through their shared_ptr; last writer wins
-// on concurrent revalidations of the same key, which costs a duplicated
-// re-cost, never correctness.
+// Set it through EngineOptions::plan_cache (WithPlanCache(entries,
+// bytes) builds one; WithSharedCaches wires one instance into several
+// engines). Engine::Run, Engine::Prepare and Engine::Run(PreparedQuery)
+// all resolve plans through Acquire / Insert. Resident entries are
+// immutable (SharedPlanPtr): a version-vector mismatch revalidates a
+// private *copy* (RevalidateCachedPlan) and publishes the copy, so
+// readers still executing the old plan keep it alive and unchanged.
+// Concurrent revalidations of one key at one version cost a duplicated
+// re-cost, never correctness. A reader on an older snapshot than the
+// resident entry's revalidates its copy privately and leaves the entry
+// to the current readers (engine/striped_lru.h).
 //
-// Keys add an EngineOptions fingerprint to the (expression structure,
-// database id) key of the local cache: the shared cache outlives any one
-// engine, so two engines configured with different rewrite/algorithm/
-// execution options must never exchange plans.
-//
-// Locking is striped: the key hash selects one of a fixed number of
-// stripes, each a mutex + hash map + LRU list with its own slice of the
-// entry/byte budgets. Two sessions running different query shapes
-// typically hit different stripes and never contend.
+// Keys add an EngineOptions fingerprint to (expression structure,
+// database id): the cache outlives any one engine, so engines configured
+// with different rewrite/algorithm/execution options never exchange
+// plans. Storage, striping and the LRU + byte budgets are the shared
+// StripedLru's.
 #ifndef SETALG_ENGINE_SHARED_CACHE_H_
 #define SETALG_ENGINE_SHARED_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "core/database.h"
 #include "engine/plan_cache.h"
 #include "engine/planner.h"
+#include "engine/striped_lru.h"
 #include "ra/expr.h"
 #include "stats/stats.h"
 
 namespace setalg::engine {
-
-/// An immutable resident entry of the shared cache.
-using SharedPlanPtr = std::shared_ptr<const CachedPlan>;
 
 class SharedPlanCache {
  public:
@@ -57,7 +48,8 @@ class SharedPlanCache {
   /// and Inserts); otherwise a plan ready to run, with `outcome` saying
   /// whether it ran untouched (kHit) or was revalidated/repicked against
   /// the view's current versions (always on a private copy — the entry
-  /// returned is the copy, already published).
+  /// returned is the copy, already published unless the resident entry
+  /// is newer than the view).
   struct Acquired {
     SharedPlanPtr entry;
     CacheOutcome outcome = CacheOutcome::kMiss;
@@ -65,7 +57,8 @@ class SharedPlanCache {
 
   /// `max_entries` >= 1 (whole-cache budget, split evenly over stripes);
   /// `max_bytes` 0 = unbounded bytes.
-  SharedPlanCache(std::size_t max_entries, std::size_t max_bytes);
+  SharedPlanCache(std::size_t max_entries, std::size_t max_bytes)
+      : store_(max_entries, max_bytes) {}
 
   /// Looks up (expr, db.id(), options fingerprint) and ensures the
   /// returned plan is costed against `db`'s current version vector.
@@ -76,62 +69,28 @@ class SharedPlanCache {
                    const stats::StatsProvider* stats,
                    const EngineOptions& options) const;
 
-  /// Publishes a freshly lowered entry (the miss path), replacing any
-  /// entry that raced in under the same key. Returns the resident entry.
-  SharedPlanPtr Insert(CachedPlanPtr entry, const EngineOptions& options) const;
+  /// Publishes a lowered (or handle-revalidated) entry, unless the
+  /// resident entry under its key is newer. Returns `entry`, the plan the
+  /// caller should run.
+  SharedPlanPtr Insert(SharedPlanPtr entry, const EngineOptions& options) const;
 
-  /// Drops every entry (plans being executed stay alive via shared_ptr).
-  void Clear() const;
+  /// Drops every entry (plans being executed or held by prepared handles
+  /// stay alive via shared_ptr).
+  void Clear() const { store_.Clear(); }
 
-  std::size_t size() const;
-  std::size_t bytes() const;
-  std::size_t max_entries() const { return max_entries_; }
-  std::size_t max_bytes() const { return max_bytes_; }
+  std::size_t size() const { return store_.size(); }
+  std::size_t bytes() const { return store_.bytes(); }
+  std::size_t max_entries() const { return store_.max_entries(); }
+  std::size_t max_bytes() const { return store_.max_bytes(); }
   Stats stats() const;
 
-  /// Stripe count (a power of two, fixed at construction).
-  std::size_t stripes() const { return num_stripes_; }
+  /// Stripe count (a power of two, fixed by capacity at construction).
+  std::size_t stripes() const { return store_.stripes(); }
 
  private:
-  struct Key {
-    std::uint64_t db_id = 0;
-    std::uint64_t options_fp = 0;
-    std::uint64_t hash = 0;  // ra::StructuralHash(*expr), precomputed.
-    ra::ExprPtr expr;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const;
-  };
-  struct KeyEqual {
-    bool operator()(const Key& a, const Key& b) const;
-  };
-  struct Node {
-    SharedPlanPtr entry;
-    std::list<Key>::iterator lru;
-    std::size_t charged_bytes = 0;
-  };
-  struct Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<Key, Node, KeyHash, KeyEqual> map;
-    std::list<Key> lru;  // Front = hottest.
-    std::size_t bytes = 0;
-    Stats stats;
-  };
-
-  Stripe& StripeFor(const Key& key) const;
-  /// Publishes `entry` under `key` in `stripe` (lock held), evicting past
-  /// the stripe budgets. Returns the published entry.
-  SharedPlanPtr PublishLocked(Stripe& stripe, Key key, SharedPlanPtr entry) const;
-  static void EvictPastBudgetLocked(Stripe& stripe, std::size_t max_entries,
-                                    std::size_t max_bytes);
-
-  std::size_t max_entries_;
-  std::size_t max_bytes_;
-  std::size_t stripe_max_entries_;
-  std::size_t stripe_max_bytes_;
-  std::size_t num_stripes_;
-  // A fixed array (stripes hold a mutex, so they never move).
-  std::unique_ptr<Stripe[]> stripes_;
+  StripedLru<CachedPlan> store_;
+  // Known only after revalidation, outside the stripe lock.
+  mutable std::atomic<std::size_t> repicks_{0};
 };
 
 }  // namespace setalg::engine

@@ -4,9 +4,9 @@
 // Concurrency model, matching the engine's documented contract
 // (engine/engine.h): every connection gets its own session thread and
 // its own engine::Engine (prepared handles are session-scoped and
-// single-threaded), the engine-local plan cache is forced off, and all
-// sessions share the process-wide SharedPlanCache / ResultCache supplied
-// through EngineOptions. Each statement runs against a fresh
+// single-threaded), and all sessions share the plan cache and result
+// cache supplied through EngineOptions (a 256-entry SharedPlanCache and
+// ResultCache when none is given). Each statement runs against a fresh
 // head->snapshot(), so sessions never block writers and a response's
 // `version` field pins exactly which published state it saw.
 //
@@ -36,10 +36,9 @@ namespace setalg::server {
 class Server {
  public:
   /// `head` is the versioned database every session serves from;
-  /// `options` configures the per-session engines (shared caches are
-  /// created when absent; the engine-local plan cache is forced off —
-  /// it is single-threaded by contract). `names` renders interned
-  /// string values in CSV rows; may be null.
+  /// `options` configures the per-session engines (a plan cache and a
+  /// result cache, shared by every session, are created when absent).
+  /// `names` renders interned string values in CSV rows; may be null.
   Server(std::shared_ptr<txn::VersionedDatabase> head,
          engine::EngineOptions options,
          std::shared_ptr<const core::NameMap> names);

@@ -221,6 +221,27 @@ bool VersionsMatch(const core::DatabaseView& db, const VersionVector& versions) 
   return true;
 }
 
+VersionOrder CompareVersions(const core::DatabaseView& db,
+                             const VersionVector& versions) {
+  bool behind = false;
+  bool ahead = false;
+  for (const auto& [name, version] : versions) {
+    const std::uint64_t current = db.relation_version(name);
+    behind |= current > version;
+    ahead |= current < version;
+  }
+  if (behind) return VersionOrder::kBehind;
+  return ahead ? VersionOrder::kAhead : VersionOrder::kEqual;
+}
+
+bool VersionsAhead(const VersionVector& a, const VersionVector& b) {
+  if (a.size() != b.size() || a == b) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].first != b[i].first || a[i].second < b[i].second) return false;
+  }
+  return true;
+}
+
 DatabaseStats::DatabaseStats(const core::DatabaseView* db) : db_(db) {
   SETALG_CHECK(db != nullptr);
 }

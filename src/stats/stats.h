@@ -144,6 +144,22 @@ VersionVector SnapshotVersions(const core::DatabaseView& db,
 /// i.e. re-snapshotting `db` would reproduce `versions` exactly.
 bool VersionsMatch(const core::DatabaseView& db, const VersionVector& versions);
 
+/// How a snapshotted vector orders against `db`'s current counters.
+/// Within one database id relation versions only grow, so a vector ahead
+/// of the view was taken from a newer state than the view shows (the
+/// view is an older snapshot of the same lineage).
+enum class VersionOrder {
+  kEqual,   // VersionsMatch.
+  kBehind,  // Some relation moved on since the snapshot.
+  kAhead,   // No relation is newer in `db`, and some is older.
+};
+VersionOrder CompareVersions(const core::DatabaseView& db,
+                             const VersionVector& versions);
+
+/// True iff `a` is ahead of `b`: both snapshot the same relations, every
+/// version in `a` is >= its counterpart in `b`, and the two differ.
+bool VersionsAhead(const VersionVector& a, const VersionVector& b);
+
 /// The caching provider over one database view: statistics are computed
 /// on first use and reused until the relation's mutation counter moves.
 /// Holds a pointer to the view; not thread-safe (immutable views that

@@ -433,7 +433,7 @@ TEST(Engine, PreparedHandleSurvivesCacheEvictionMidSequence) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}, {3, 10}}), MakeRel(1, {{10}}));
   EngineOptions options;
-  options.plan_cache_entries = 1;  // Any other query evicts the handle's entry.
+  options = options.WithPlanCache(1);  // Any other query evicts the handle's entry.
   const Engine engine(options);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
@@ -456,7 +456,7 @@ TEST(Engine, ClearPlanCacheThenRePrepareIsAFreshStart) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}}), MakeRel(1, {{10}}));
   EngineOptions options;
-  options.plan_cache_entries = 4;
+  options = options.WithPlanCache(4);
   const Engine engine(options);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 

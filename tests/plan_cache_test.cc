@@ -19,16 +19,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <latch>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
-#include "engine/plan_cache.h"
 #include "engine/result_cache.h"
 #include "engine/shared_cache.h"
 #include "ra/expr.h"
 #include "setjoin/division.h"
 #include "test_util.h"
+#include "txn/snapshot.h"
 #include "util/rng.h"
 #include "workload/generators.h"
 
@@ -166,7 +169,7 @@ TEST(PlanCache, CacheDifferentialUnderRandomizedMutations) {
         options.batch_size = 7;
         options.threads = threads;
         EngineOptions cached_options = options;
-        cached_options.plan_cache_entries = 8;
+        cached_options = cached_options.WithPlanCache(8);
         const Engine cached(cached_options);
         const Engine fresh(options);  // Replans on every Run.
         const std::string what = mode.name + " threads=" + std::to_string(threads) +
@@ -219,7 +222,7 @@ TEST(PlanCache, CacheDifferentialUnderRandomizedMutations) {
           }
         }
         // Every run after the warm-up Prepares was served by the cache.
-        const PlanCache* cache = cached.plan_cache();
+        const SharedPlanCache* cache = cached.plan_cache();
         ASSERT_NE(cache, nullptr) << what;
         EXPECT_EQ(cache->stats().misses, exprs.size()) << what;
         EXPECT_GT(cache->stats().hits, 0u) << what;
@@ -236,7 +239,7 @@ TEST(PlanCache, OutcomeTransitionsAcrossMutations) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}, {3, 20}}), MakeRel(1, {{10}, {20}}));
   EngineOptions options = EngineOptions::CostBased();
-  options.plan_cache_entries = 4;
+  options = options.WithPlanCache(4);
   const Engine engine(options);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
@@ -265,7 +268,7 @@ TEST(PlanCache, OutcomeTransitionsAcrossMutations) {
   ASSERT_TRUE(fourth.ok());
   EXPECT_EQ(fourth->stats.cache, CacheOutcome::kHit);
 
-  const PlanCache::Stats& stats = engine.plan_cache()->stats();
+  const SharedPlanCache::Stats& stats = engine.plan_cache()->stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 3u);
   EXPECT_EQ(stats.revalidations, 1u);
@@ -280,7 +283,7 @@ TEST(PlanCache, RevalidationWithoutFlipKeepsTheSamePlanObjects) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}, {3, 10}}), MakeRel(1, {{10}}));
   EngineOptions options;  // Fixed algorithm: nothing can flip.
-  options.plan_cache_entries = 2;
+  options = options.WithPlanCache(2);
   const Engine engine(options);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
@@ -309,7 +312,7 @@ TEST(PlanCache, BulkLoadRepicksTheDivisionAlgorithmInPlace) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}}), MakeRel(1, {{10}, {20}}));
   EngineOptions options = EngineOptions::CostBased();
-  options.plan_cache_entries = 4;
+  options = options.WithPlanCache(4);
   const Engine engine(options);
   const Engine fresh(EngineOptions::CostBased());
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
@@ -368,7 +371,7 @@ TEST(PlanCache, RepickRechargesTheByteAccounting) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}}), MakeRel(1, {{10}, {20}}));
   EngineOptions options = EngineOptions::CostBased();
-  options.plan_cache_entries = 1;
+  options = options.WithPlanCache(1);
   const Engine engine(options);
   const auto division = setjoin::ClassicDivisionExpr("R", "S");
 
@@ -407,7 +410,7 @@ TEST(PlanCache, DetachedHandBuiltHandlesDoNotPolluteCacheTallies) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}}), MakeRel(1, {{10}}));
   EngineOptions options;
-  options.plan_cache_entries = 4;
+  options = options.WithPlanCache(4);
   const Engine engine(options);
 
   PhysicalPlan plan;
@@ -424,7 +427,7 @@ TEST(PlanCache, DetachedHandBuiltHandlesDoNotPolluteCacheTallies) {
   db.mutable_relation("R")->Add({5, 10});
   ASSERT_TRUE(engine.Run(*handle, db).ok());
 
-  const PlanCache::Stats& stats = engine.plan_cache()->stats();
+  const SharedPlanCache::Stats& stats = engine.plan_cache()->stats();
   EXPECT_EQ(engine.plan_cache()->size(), 0u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
@@ -440,7 +443,7 @@ TEST(PlanCache, LruEvictsPastEntryBudget) {
   const auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}}), MakeRel(1, {{10}}));
   EngineOptions options;
-  options.plan_cache_entries = 2;
+  options = options.WithPlanCache(2);
   const Engine engine(options);
 
   const std::vector<ra::ExprPtr> exprs = {
@@ -451,7 +454,7 @@ TEST(PlanCache, LruEvictsPastEntryBudget) {
   for (const auto& expr : exprs) {
     ASSERT_TRUE(engine.Run(expr, db).ok());
   }
-  const PlanCache* cache = engine.plan_cache();
+  const SharedPlanCache* cache = engine.plan_cache();
   EXPECT_EQ(cache->size(), 2u);
   EXPECT_EQ(cache->stats().evictions, 1u);
 
@@ -469,8 +472,7 @@ TEST(PlanCache, ByteBudgetEvictionLeavesExecutingEntryAlive) {
   const auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}, {3, 10}}), MakeRel(1, {{10}, {20}}));
   EngineOptions options;
-  options.plan_cache_entries = 8;
-  options.plan_cache_bytes = 1;  // Every entry exceeds this: insert-then-evict.
+  options = options.WithPlanCache(8, 1);  // Every entry exceeds this: insert-then-evict.
   const Engine engine(options);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
@@ -498,7 +500,7 @@ TEST(PlanCache, ClearForgetsEntriesButHandlesSurvive) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {2, 20}}), MakeRel(1, {{10}}));
   EngineOptions options;
-  options.plan_cache_entries = 4;
+  options = options.WithPlanCache(4);
   const Engine engine(options);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
@@ -586,7 +588,7 @@ TEST(PlanCache, CollidingRelationNamesOnDifferentDatabasesNeverShareEntries) {
   ASSERT_NE(db1.id(), db2.id());
 
   EngineOptions options;
-  options.plan_cache_entries = 8;
+  options = options.WithPlanCache(8);
   const Engine engine(options);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
@@ -643,8 +645,7 @@ TEST(ResultCacheTest, DifferentialUnderRandomizedMutations) {
       EngineOptions options = mode.options;
       options.batch_size = 7;
       EngineOptions cached_options = options;
-      cached_options.plan_cache_entries = 0;  // The concurrent wiring.
-      cached_options.shared_plan_cache =
+      cached_options.plan_cache =
           std::make_shared<SharedPlanCache>(16, 0);
       const auto results = std::make_shared<ResultCache>(16, 1u << 20);
       cached_options.result_cache = results;
@@ -700,7 +701,6 @@ TEST(ResultCacheTest, HitNeverSurvivesVersionVectorChange) {
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}, {3, 20}}), MakeRel(1, {{10}, {20}}));
   const auto results = std::make_shared<ResultCache>(8, 0);
   EngineOptions options;
-  options.plan_cache_entries = 0;
   options.result_cache = results;
   const Engine engine(options);
 
@@ -765,8 +765,7 @@ TEST(SharedPlanCacheTest, SharedAcrossEnginesWithProvenance) {
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}}), MakeRel(1, {{10}, {20}}));
   const auto shared = std::make_shared<SharedPlanCache>(8, 0);
   EngineOptions options = EngineOptions::CostBased();
-  options.plan_cache_entries = 0;
-  options.shared_plan_cache = shared;
+  options.plan_cache = shared;
   const Engine a(options);
   const Engine b(options);
   const Engine fresh(EngineOptions::CostBased());
@@ -801,6 +800,144 @@ TEST(SharedPlanCacheTest, SharedAcrossEnginesWithProvenance) {
   auto warm = a.Run(division, db);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm->stats.cache, CacheOutcome::kHit);
+}
+
+// ---------------------------------------------------------------------------
+// Version order: within one database id relation versions only grow, so a
+// reader on an older snapshot must never evict the newer entry the
+// current readers are using.
+// ---------------------------------------------------------------------------
+
+TEST(CacheVersionOrderTest, OlderSnapshotReaderLeavesNewerEntriesResident) {
+  txn::VersionedDatabase head(setalg::testing::DivisionDb(
+      MakeRel(2, {{1, 10}, {1, 20}, {2, 10}}), MakeRel(1, {{10}, {20}})));
+  const txn::SnapshotPtr v0 = head.snapshot();
+  const txn::SnapshotPtr v1 =
+      head.SetRelation("R", workload::UniformBinaryRelation(200, 5, BaseSeed() * 3 + 1));
+  const auto division = setjoin::ClassicDivisionExpr("R", "S");
+  const Engine fresh(EngineOptions::CostBased());
+
+  // Runs `division` on `snap`, checks it against a cache-free run and
+  // returns the cache outcome.
+  const auto run_on = [&](const Engine& engine, const txn::Snapshot& snap,
+                          const std::string& context) {
+    auto got = engine.Run(division, snap);
+    auto want = fresh.Run(division, snap);
+    EXPECT_TRUE(got.ok() && want.ok()) << context;
+    if (!got.ok() || !want.ok()) return CacheOutcome::kUncached;
+    EXPECT_EQ(got->relation.flat(), want->relation.flat()) << context;
+    ExpectIdenticalStats(want->stats, got->stats, context);
+    return got->stats.cache;
+  };
+  const auto revalidated = [](CacheOutcome outcome) {
+    return outcome == CacheOutcome::kRevalidated || outcome == CacheOutcome::kRepicked;
+  };
+
+  // Plan cache alone: the v0 reader re-costs a private copy, and the v1
+  // entry stays warm for the next v1 reader.
+  const Engine planned(EngineOptions::CostBased().WithPlanCache(4));
+  EXPECT_EQ(run_on(planned, *v1, "plans v1"), CacheOutcome::kMiss);
+  EXPECT_TRUE(revalidated(run_on(planned, *v0, "plans v0")));
+  EXPECT_EQ(run_on(planned, *v1, "plans v1 again"), CacheOutcome::kHit);
+  const SharedPlanCache::Stats plan_stats = planned.plan_cache()->stats();
+  EXPECT_EQ(plan_stats.misses, 1u);
+  EXPECT_EQ(plan_stats.revalidations, 1u);
+  EXPECT_EQ(plan_stats.hits, 1u);
+
+  // Both caches: the v0 reader misses the result cache without erasing
+  // the v1 result, and its own result is not stored over it.
+  const auto results = std::make_shared<ResultCache>(4, 0);
+  const Engine both(EngineOptions::CostBased().WithSharedCaches(
+      std::make_shared<SharedPlanCache>(4, 0), results));
+  EXPECT_EQ(run_on(both, *v1, "both v1"), CacheOutcome::kMiss);
+  EXPECT_EQ(run_on(both, *v1, "both v1 replay"), CacheOutcome::kResultHit);
+  EXPECT_TRUE(revalidated(run_on(both, *v0, "both v0")));
+  EXPECT_EQ(run_on(both, *v1, "both v1 again"), CacheOutcome::kResultHit);
+  EXPECT_EQ(results->stats().invalidations, 0u);
+  EXPECT_EQ(results->stats().hits, 2u);
+  EXPECT_EQ(results->size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The thread-safety contract: one Engine with its plan cache, run from
+// several threads on one snapshot.
+// ---------------------------------------------------------------------------
+
+TEST(PlanCacheConcurrencyTest, OneEngineManyThreadsMatchesCacheFreeRuns) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 6;
+  const std::uint64_t seed = BaseSeed();
+  core::Schema schema;
+  schema.AddRelation("R", 2);
+  schema.AddRelation("S", 1);
+  setalg::testing::RandomSaEqGenerator generator(schema, {1, 2, 3}, seed * 389);
+  const std::vector<ra::ExprPtr> exprs = {
+      setjoin::ClassicDivisionExpr("R", "S"),
+      setjoin::ClassicEqualityDivisionExpr("R", "S"),
+      generator.Generate(1, 3),
+  };
+  const txn::VersionedDatabase head(setalg::testing::RandomDatabase(schema, 60, 12, seed));
+  const txn::SnapshotPtr snap = head.snapshot();
+
+  const Engine fresh(EngineOptions::CostBased());
+  std::vector<RunResult> want;
+  for (const auto& expr : exprs) {
+    auto run = fresh.Run(expr, *snap);
+    ASSERT_TRUE(run.ok()) << run.error();
+    want.push_back(std::move(*run));
+  }
+
+  const Engine engine(EngineOptions::CostBased().WithPlanCache(4));
+  // Every thread starts its first run together, so the first lookups of
+  // each expression race for real.
+  std::latch start(kThreads);
+  std::vector<std::vector<RunResult>> got(kThreads);
+  std::vector<std::string> errors(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < exprs.size(); ++i) {
+          auto run = engine.Run(exprs[(i + t) % exprs.size()], *snap);
+          if (!run.ok()) {
+            errors[t] = run.error();
+            return;
+          }
+          got[t].push_back(std::move(*run));
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(errors[t].empty()) << "thread " << t << ": " << errors[t];
+    ASSERT_EQ(got[t].size(), kRounds * exprs.size());
+    for (std::size_t k = 0; k < got[t].size(); ++k) {
+      const std::size_t i = (k % exprs.size() + t) % exprs.size();
+      const std::string context =
+          "thread " + std::to_string(t) + " run " + std::to_string(k);
+      EXPECT_EQ(got[t][k].relation.flat(), want[i].relation.flat()) << context;
+      ExpectIdenticalStats(want[i].stats, got[t][k].stats, context);
+    }
+  }
+
+  const SharedPlanCache* cache = engine.plan_cache();
+  const SharedPlanCache::Stats stats = cache->stats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.revalidations,
+            kThreads * kRounds * exprs.size());
+  EXPECT_GE(stats.misses, exprs.size());
+  // The byte total is exactly the resident entries' charges (a warm
+  // Prepare hands out the resident entry).
+  ASSERT_EQ(cache->size(), exprs.size());
+  std::size_t resident_bytes = 0;
+  for (const auto& expr : exprs) {
+    auto handle = engine.Prepare(expr, *snap);
+    ASSERT_TRUE(handle.ok()) << handle.error();
+    resident_bytes += handle->approx_bytes();
+  }
+  EXPECT_EQ(cache->bytes(), resident_bytes);
 }
 
 }  // namespace
