@@ -440,7 +440,7 @@ std::vector<MultiwayRow> PrintMultiwayTable() {
     row.n = n;
     row.d = d;
 
-    const engine::Engine binary(engine::EngineOptions::CostBased());
+    const engine::Engine binary;
     auto binary_plan = binary.Plan(expr, db);
     if (!binary_plan.ok()) {
       std::fprintf(stderr, "binary triangle plan failed: %s\n",
@@ -453,8 +453,7 @@ std::vector<MultiwayRow> PrintMultiwayTable() {
                                        &row.matches);
     row.binary_max_intermediate = binary_stats.max_intermediate;
 
-    const engine::Engine multiway(
-        engine::EngineOptions::CostBased().WithMultiway());
+    const engine::Engine multiway(engine::EngineOptions{}.WithMultiway());
     auto multiway_plan = multiway.Plan(expr, db);
     if (!multiway_plan.ok()) {
       std::fprintf(stderr, "multiway triangle plan failed: %s\n",

@@ -10,16 +10,15 @@
 // SQL frontend (sql/analyzer.h), everything else through the RA/SA
 // expression grammar — then planned and executed by engine::Engine, and the
 // result is printed as CSV. With -v the physical plan, planner rewrites,
-// cost-based algorithm choices (with their estimates), the AGM output bound
+// priced algorithm choices (with their estimates), the AGM output bound
 // of any collected join chain, and per-operator estimated-vs-actual
 // intermediate sizes are reported too.
 //
-// Execution is selected by one --mode flag plus orthogonal knobs:
+// The plan policy is selected by one --mode flag plus orthogonal knobs:
 //   --mode reference   legacy 1:1 evaluation, no planner rewrites
-//   --mode planned     rewrite-enabled planning (the default)
-//   --mode cost        statistics-driven algorithm selection
-//   --mode parallel    planned + a worker pool for partitioned operators
-//                      (--threads 4 unless --threads is given)
+//   --mode planned     rewrite-enabled planning with every call site's
+//                      algorithm and fan-out priced from the loaded
+//                      relations' statistics (the default)
 // Every mode runs on the engine's one pipelined batch executor.
 // --threads N sizes the worker pool, --batch-size N sets the pipeline's
 // batch granularity, and --multiway lets the planner collect equality-join
@@ -75,7 +74,6 @@ int main(int argc, char** argv) {
   std::string connect;
   bool multiway = false;
   bool calibrate = false;
-  bool threads_given = false;
   long long batch_size = static_cast<long long>(engine::kDefaultBatchSize);
   long long threads = 1;
   long long plan_cache_capacity = 0;
@@ -90,8 +88,7 @@ int main(int argc, char** argv) {
       verbose = true;
     } else if (arg == "--mode") {
       if (i + 1 >= nargs) {
-        std::fprintf(stderr, "--mode needs one of "
-                             "reference|planned|cost|parallel\n");
+        std::fprintf(stderr, "--mode needs one of reference|planned\n");
         return 2;
       }
       mode = args[++i];
@@ -127,7 +124,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--threads needs a positive integer\n");
         return 2;
       }
-      threads_given = true;
       ++i;
     } else if (arg == "--sessions") {
       if (i + 1 >= nargs || !util::ParseInt64(args[i + 1], &sessions) || sessions < 1) {
@@ -144,7 +140,7 @@ int main(int argc, char** argv) {
   if ((relation_specs.empty() && connect.empty()) || expressions.empty()) {
     std::fprintf(stderr,
                  "usage: raq NAME=ARITY:PATH [NAME=ARITY:PATH ...] [-v] "
-                 "[--mode reference|planned|cost|parallel] [--multiway] "
+                 "[--mode reference|planned] [--multiway] "
                  "[--calibrate] [--threads N] [--batch-size N] [--plan-cache [N]] "
                  "[--sessions N] [--connect HOST:PORT] -- STMT [STMT ...]\n"
                  "example: raq R=2:r.csv S=1:s.csv -- 'pi[1](join[2=1](R, S))'\n");
@@ -256,21 +252,13 @@ int main(int argc, char** argv) {
   engine::EngineOptions options;
   if (mode == "reference") {
     options = engine::EngineOptions::Reference();
-  } else if (mode == "planned") {
-    options = engine::EngineOptions{};
-  } else if (mode == "cost") {
-    options = engine::EngineOptions::CostBased();
-  } else if (mode == "parallel") {
-    if (!threads_given) threads = 4;
-    options = engine::EngineOptions{}.WithThreads(static_cast<std::size_t>(threads));
-  } else {
-    std::fprintf(stderr, "unknown --mode '%s' (want "
-                         "reference|planned|cost|parallel)\n",
+  } else if (mode != "planned") {
+    std::fprintf(stderr, "unknown --mode '%s' (want reference|planned)\n",
                  mode.c_str());
     return 2;
   }
   options = options.WithBatchSize(static_cast<std::size_t>(batch_size));
-  if (threads_given) options = options.WithThreads(static_cast<std::size_t>(threads));
+  options = options.WithThreads(static_cast<std::size_t>(threads));
   if (multiway) options = options.WithMultiway();
   // Statements run in order through one engine, so later statements plan
   // with whatever the earlier ones taught the store.

@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   bool multiway = false;
   bool calibrate = false;
   long long threads = 1;
-  bool threads_given = false;
   long long port = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -49,7 +48,7 @@ int main(int argc, char** argv) {
       ++i;
     } else if (arg == "--mode") {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "--mode needs one of reference|planned|cost|parallel\n");
+        std::fprintf(stderr, "--mode needs one of reference|planned\n");
         return 2;
       }
       mode = argv[++i];
@@ -62,7 +61,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--threads needs a positive integer\n");
         return 2;
       }
-      threads_given = true;
       ++i;
     } else {
       relation_specs.push_back(arg);
@@ -71,7 +69,7 @@ int main(int argc, char** argv) {
   if (relation_specs.empty()) {
     std::fprintf(stderr,
                  "usage: setalgd NAME=ARITY:PATH [NAME=ARITY:PATH ...] "
-                 "[--port N] [--mode reference|planned|cost|parallel] "
+                 "[--port N] [--mode reference|planned] "
                  "[--multiway] [--threads N] [--calibrate]\n");
     return 2;
   }
@@ -111,18 +109,11 @@ int main(int argc, char** argv) {
   engine::EngineOptions options;
   if (mode == "reference") {
     options = engine::EngineOptions::Reference();
-  } else if (mode == "planned") {
-    options = engine::EngineOptions{};
-  } else if (mode == "cost") {
-    options = engine::EngineOptions::CostBased();
-  } else if (mode == "parallel") {
-    if (!threads_given) threads = 4;
-    options = engine::EngineOptions{}.WithThreads(static_cast<std::size_t>(threads));
-  } else {
+  } else if (mode != "planned") {
     std::fprintf(stderr, "unknown --mode '%s'\n", mode.c_str());
     return 2;
   }
-  if (threads_given) options = options.WithThreads(static_cast<std::size_t>(threads));
+  options = options.WithThreads(static_cast<std::size_t>(threads));
   if (multiway) options = options.WithMultiway();
   // One store for the whole process: every session the server spawns
   // shares it, so each session's traffic tunes the others' plans.

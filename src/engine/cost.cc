@@ -724,8 +724,7 @@ CostEstimate CostModel::EstimateBinaryJoinChain(const JoinHypergraph& graph,
 }
 
 CostModel::MultiwayChoice CostModel::ChooseMultiwayJoin(
-    const JoinHypergraph& graph, const std::vector<double>& interior_cards,
-    bool cost_based) const {
+    const JoinHypergraph& graph, const std::vector<double>& interior_cards) const {
   MultiwayChoice choice;
   choice.agm_bound = AgmBound(graph);
   const double output_guess =
@@ -736,9 +735,7 @@ CostModel::MultiwayChoice CostModel::ChooseMultiwayJoin(
     choice.use_multiway = false;  // Infeasible or over the arity caps.
     return choice;
   }
-  choice.use_multiway = cost_based
-                            ? choice.multiway.cost < choice.binary.cost
-                            : choice.binary.max_intermediate > choice.agm_bound;
+  choice.use_multiway = choice.multiway.cost < choice.binary.cost;
   return choice;
 }
 

@@ -20,7 +20,7 @@
 // To add a formula for a new operator: write an Estimate<Op> function
 // from ExprEstimate inputs to a CostEstimate, add a Choose<Op> that
 // minimizes over the alternatives, and consult it from the planner's
-// lowering (see Planner's cost_based paths). Keep the weights relative
+// lowering (see the Planner's priced paths). Keep the weights relative
 // to kTupleOp = 1.
 #ifndef SETALG_ENGINE_COST_H_
 #define SETALG_ENGINE_COST_H_
@@ -243,14 +243,10 @@ class CostModel {
     double agm_bound = 0.0;
   };
   /// Multiway vs the written binary chain for one collected join
-  /// hypergraph. Cost-based mode prices both kernels and takes the
-  /// cheaper; planned (rule-based) mode routes exactly when the binary
-  /// plan's estimated max intermediate exceeds the AGM bound — the
-  /// paper's division dichotomy generalized. Never routes when the LP is
-  /// infeasible or the hypergraph exceeds the arity caps.
+  /// hypergraph: prices both kernels and takes the cheaper. Never routes
+  /// when the LP is infeasible or the hypergraph exceeds the arity caps.
   MultiwayChoice ChooseMultiwayJoin(const JoinHypergraph& graph,
-                                    const std::vector<double>& interior_cards,
-                                    bool cost_based) const;
+                                    const std::vector<double>& interior_cards) const;
 
  private:
   ExprEstimate EstimateUncached(const ra::ExprPtr& expr) const;

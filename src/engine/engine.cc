@@ -171,7 +171,6 @@ class BatchedExecutor {
   void Finalize(const PhysicalOp* op, std::size_t rows) {
     stats_->max_intermediate = std::max(stats_->max_intermediate, rows);
     stats_->total_intermediate += rows;
-    if (!options_->collect_node_stats) return;
     finished_.emplace(op, MakeOpStats(op, rows, plan_));
   }
 
@@ -455,19 +454,6 @@ util::Result<RunResult> Engine::RunImpl(const PhysicalPlan& plan,
     FeedCalibration(options_.calibration.get(), result.stats);
   }
   return result;
-}
-
-util::Result<RunResult> Engine::Run(const ra::ExprPtr& expr, const core::DatabaseView& db,
-                                    const EngineOptions& options) {
-  // The throwaway engine cannot amortize a statistics pass across calls
-  // (this is the hot path behind legacy ra::Eval), so it only computes
-  // stats when the options actually need them for algorithm choice. Use a
-  // persistent Engine to get cached stats and estimate annotations.
-  const Engine engine(options);
-  auto plan = options.cost_based ? engine.Plan(expr, db)
-                                 : engine.Plan(expr, db.schema());
-  if (!plan.ok()) return util::Result<RunResult>::Error(plan.error());
-  return engine.RunImpl(*plan, db);
 }
 
 ra::EvalStats ToEvalStats(const PlanStats& stats) {

@@ -9,12 +9,14 @@
 // tree-walker: those are now thin wrappers over the engine's reference
 // lowering (EngineOptions::Reference()), which reproduces the legacy
 // semantics and per-node statistics exactly. Reference is a plan choice,
-// not a separate executor: every preset runs on the one pipelined batch
+// not a separate executor: every policy runs on the one pipelined batch
 // executor (engine.cc), which records each operator's materialized
-// cardinality without materializing it. The default options enable
-// the planner rewrites — most notably routing the classic division
-// pattern to a sub-quadratic operator — so the same logical expression
-// runs with O(n) instead of Ω(n²) intermediates (Prop. 26 vs. Section 5).
+// cardinality without materializing it. The default options enable the
+// planner rewrites — most notably routing the classic division pattern to
+// a sub-quadratic operator, so the same logical expression runs with O(n)
+// instead of Ω(n²) intermediates (Prop. 26 vs. Section 5) — and, since
+// every Run/Prepare plans with statistics, pick each call site's algorithm
+// and fan-out from the cost model.
 #ifndef SETALG_ENGINE_ENGINE_H_
 #define SETALG_ENGINE_ENGINE_H_
 
@@ -109,7 +111,8 @@ class PreparedQuery {
 /// any of this.
 class Engine {
  public:
-  /// An engine with the default (rewrite-enabled) options.
+  /// An engine with the default (rewrite-enabled, statistics-priced)
+  /// options.
   Engine() = default;
   explicit Engine(EngineOptions options) : options_(std::move(options)) {}
 
@@ -161,13 +164,15 @@ class Engine {
   void ClearPlanCache() const;
 
   /// Lowers without executing. Without a database there are no statistics:
-  /// the plan carries no cost estimates and cost_based options fall back
-  /// to the fixed algorithm defaults.
+  /// the plan carries no cost estimates and no priced decisions; the
+  /// fixed fallback applies (hash division, the fast semijoin kernel,
+  /// pool-width fan-out). Reference() plans come out the same either way.
   util::Result<PhysicalPlan> Plan(const ra::ExprPtr& expr,
                                   const core::Schema& schema) const;
 
   /// Statistics-aware lowering: the plan is annotated with cost estimates
-  /// and cost_based options pick algorithms from `db`'s relation stats.
+  /// and, unless the options are Reference(), every decision is priced
+  /// from `db`'s relation stats.
   util::Result<PhysicalPlan> Plan(const ra::ExprPtr& expr,
                                   const core::DatabaseView& db) const;
 
@@ -175,7 +180,7 @@ class Engine {
   util::Result<std::string> Explain(const ra::ExprPtr& expr,
                                     const core::Schema& schema) const;
 
-  /// Statistics-aware Explain: additionally shows cost-based choices.
+  /// Statistics-aware Explain: additionally shows the priced choices.
   util::Result<std::string> Explain(const ra::ExprPtr& expr,
                                     const core::DatabaseView& db) const;
 
@@ -186,13 +191,6 @@ class Engine {
   /// executes what you already lowered — all funnel into one RunImpl.
   util::Result<RunResult> Run(const PhysicalPlan& plan,
                               const core::DatabaseView& db) const;
-
-  /// One-shot convenience. Computes statistics only when
-  /// `options.cost_based` needs them (a throwaway engine cannot amortize
-  /// the pass); use a persistent Engine for cached stats and
-  /// estimated-vs-actual annotations on every run.
-  static util::Result<RunResult> Run(const ra::ExprPtr& expr, const core::DatabaseView& db,
-                                     const EngineOptions& options);
 
  private:
   /// The single execution tail every Run overload lands on: builds the

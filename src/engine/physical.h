@@ -104,8 +104,8 @@ struct PlanStats {
   std::uint64_t join_rows_emitted = 0;
   /// Human-readable notes of the planner rewrites that shaped this plan.
   std::vector<std::string> rewrites;
-  /// Cost-based algorithm selections made while planning (empty unless
-  /// EngineOptions::cost_based was set and statistics were available).
+  /// Priced planner decisions (empty when planning had no statistics or
+  /// the options were EngineOptions::Reference()).
   std::vector<AlgorithmChoice> choices;
   /// The batch size the run used on the batch surface (see
   /// engine/batch.h).

@@ -137,7 +137,7 @@ CacheOutcome RevalidateCachedPlan(SharedPlanPtr* shared, const core::DatabaseVie
   // beyond the recorded choice points.
   PhysicalPlan& plan = entry.plan;
   const CostModel model(stats, options.calibration.get());
-  const bool cost_based = options.cost_based && stats != nullptr;
+  const bool priced = !options.reference && stats != nullptr;
   std::unordered_map<const PhysicalOp*, NewDecision> flips;
   // Fresh dedicated estimates for routed multiway points, applied after
   // the structural swap remaps point.op.
@@ -150,8 +150,10 @@ CacheOutcome RevalidateCachedPlan(SharedPlanPtr* shared, const core::DatabaseVie
     if (point.kind == ChoicePoint::Kind::kDivision) {
       const ExprEstimate r_est = model.Estimate(point.left);
       const ExprEstimate s_est = model.Estimate(point.right);
-      setjoin::DivisionAlgorithm algorithm = options.division_algorithm;
-      if (cost_based) {
+      const bool priced_algorithm = priced && !options.division_algorithm;
+      setjoin::DivisionAlgorithm algorithm = options.division_algorithm.value_or(
+          setjoin::DivisionAlgorithm::kHashDivision);
+      if (priced_algorithm) {
         const auto choice = model.ChooseDivision(r_est, s_est, point.equality);
         algorithm = choice.algorithm;
         entries.push_back({point.equality ? "equality-division" : "division",
@@ -159,7 +161,7 @@ CacheOutcome RevalidateCachedPlan(SharedPlanPtr* shared, const core::DatabaseVie
                            choice.estimate});
       }
       std::size_t partitions = 0;
-      if (options.threads > 1 && cost_based) {
+      if (options.threads > 1 && priced) {
         const auto parallel = model.ChooseParallelism(
             model.EstimateDivision(algorithm, r_est, s_est, point.equality),
             r_est.cardinality + s_est.cardinality, r_est.key_distinct,
@@ -176,7 +178,7 @@ CacheOutcome RevalidateCachedPlan(SharedPlanPtr* shared, const core::DatabaseVie
         flips.emplace(point.op, decision);
         if (point.rewrite_index < plan.rewrites.size()) {
           plan.rewrites[point.rewrite_index] =
-              DivisionRewriteNote(algorithm, point.equality, cost_based);
+              DivisionRewriteNote(algorithm, point.equality, priced_algorithm);
         }
         point.division_algorithm = algorithm;
         point.partitions = partitions;
@@ -204,21 +206,18 @@ CacheOutcome RevalidateCachedPlan(SharedPlanPtr* shared, const core::DatabaseVie
       for (const auto& node : point.multiway_interior) {
         interior_cards.push_back(model.Estimate(node).cardinality);
       }
-      const auto choice =
-          model.ChooseMultiwayJoin(graph, interior_cards, cost_based);
-      if (cost_based) {
-        entries.push_back(
-            {"join-chain",
-             MultiwayChoiceLabel(point.multiway_routed, point.multiway_inputs.size()),
-             point.multiway_routed ? choice.multiway : choice.binary});
-      }
+      const auto choice = model.ChooseMultiwayJoin(graph, interior_cards);
+      entries.push_back(
+          {"join-chain",
+           MultiwayChoiceLabel(point.multiway_routed, point.multiway_inputs.size()),
+           point.multiway_routed ? choice.multiway : choice.binary});
       if (std::isfinite(choice.agm_bound) && !agm_refreshed) {
         plan.agm_bound = choice.agm_bound;  // Plan-level bound: first chain.
         agm_refreshed = true;
       }
       if (point.multiway_routed) {
         std::size_t partitions = 0;
-        if (options.threads > 1 && cost_based) {
+        if (options.threads > 1 && priced) {
           const ra::ExprPtr& key_leaf = point.multiway_inputs[point.multiway_key_leaf];
           const auto parallel = model.ChooseParallelism(
               choice.multiway, sum_inputs,
@@ -243,11 +242,10 @@ CacheOutcome RevalidateCachedPlan(SharedPlanPtr* shared, const core::DatabaseVie
         }
       }
     } else {
-      SemijoinStrategy strategy = options.use_fast_semijoin
-                                      ? SemijoinStrategy::kFastKernel
-                                      : SemijoinStrategy::kGeneric;
+      SemijoinStrategy strategy = options.reference ? SemijoinStrategy::kGeneric
+                                                    : SemijoinStrategy::kFastKernel;
       std::size_t partitions = 0;
-      if (cost_based) {
+      if (priced) {
         const ExprEstimate l = model.Estimate(point.left);
         const ExprEstimate r = model.Estimate(point.right);
         strategy = model.ChooseSemijoin(l, r, point.atoms);

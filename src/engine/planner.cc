@@ -122,15 +122,12 @@ class Lowering {
   bool has_agm_bound() const { return has_agm_bound_; }
 
  private:
-  bool CostBased() const { return options_.cost_based && stats_ != nullptr; }
+  /// Statistics available and not the reference lowering: every decision
+  /// is priced.
+  bool CostBased() const { return !options_.reference && stats_ != nullptr; }
 
-  SemijoinStrategy Strategy() const {
-    return options_.use_fast_semijoin ? SemijoinStrategy::kFastKernel
-                                      : SemijoinStrategy::kGeneric;
-  }
-
-  /// Plan-time serial-vs-partitioned decision for one call site: under
-  /// cost_based planning with a worker pool configured, consult the
+  /// Plan-time serial-vs-partitioned decision for one call site: when
+  /// decisions are priced and a worker pool is configured, consult the
   /// partition pricing and pin the operator (1 = serial, N = N-way);
   /// otherwise defer to the execution context (0 = pool width).
   std::size_t PartitionsFor(const char* site, const CostEstimate& serial,
@@ -154,7 +151,11 @@ class Lowering {
   SemijoinPlan SemijoinStrategyFor(const ExprPtr& left, const ExprPtr& right,
                                    const std::vector<ra::JoinAtom>& atoms) {
     const std::size_t first_choice = choices_.size();
-    if (!CostBased()) return {Strategy(), 0, first_choice, 0};
+    if (!CostBased()) {
+      return {options_.reference ? SemijoinStrategy::kGeneric
+                                 : SemijoinStrategy::kFastKernel,
+              0, first_choice, 0};
+    }
     const ExprEstimate l = model_.Estimate(left);
     const ExprEstimate r = model_.Estimate(right);
     const SemijoinStrategy strategy = model_.ChooseSemijoin(l, r, atoms);
@@ -207,11 +208,13 @@ class Lowering {
 
   PhysicalOpPtr LowerDivision(const DivisionMatch& m, bool equality,
                               const ra::Expr* source) {
-    setjoin::DivisionAlgorithm algorithm = options_.division_algorithm;
+    const bool priced = CostBased() && !options_.division_algorithm;
+    setjoin::DivisionAlgorithm algorithm =
+        options_.division_algorithm.value_or(setjoin::DivisionAlgorithm::kHashDivision);
     const ExprEstimate r_est = model_.Estimate(m.r);
     const ExprEstimate s_est = model_.Estimate(m.s);
     const std::size_t first_choice = choices_.size();
-    if (CostBased()) {
+    if (priced) {
       const auto choice = model_.ChooseDivision(r_est, s_est, equality);
       algorithm = choice.algorithm;
       choices_.push_back({equality ? "equality-division" : "division",
@@ -219,7 +222,7 @@ class Lowering {
                           choice.estimate});
     }
     const std::size_t rewrite_index = rewrites_.size();
-    rewrites_.push_back(DivisionRewriteNote(algorithm, equality, CostBased()));
+    rewrites_.push_back(DivisionRewriteNote(algorithm, equality, priced));
     const std::size_t partitions = PartitionsFor(
         equality ? "equality-division-execution" : "division-execution",
         model_.EstimateDivision(algorithm, r_est, s_est, equality),
@@ -366,7 +369,7 @@ class Lowering {
       interior_cards.push_back(model_.Estimate(node).cardinality);
     }
     const CostModel::MultiwayChoice choice =
-        model_.ChooseMultiwayJoin(graph, interior_cards, CostBased());
+        model_.ChooseMultiwayJoin(graph, interior_cards);
     if (!std::isfinite(choice.agm_bound)) return nullptr;
     if (!has_agm_bound_) {  // The plan-level bound: first chain collected.
       agm_bound_ = choice.agm_bound;
@@ -374,11 +377,9 @@ class Lowering {
     }
 
     const std::size_t first_choice = choices_.size();
-    if (CostBased()) {
-      choices_.push_back(
-          {"join-chain", MultiwayChoiceLabel(choice.use_multiway, chain.leaves.size()),
-           choice.use_multiway ? choice.multiway : choice.binary});
-    }
+    choices_.push_back(
+        {"join-chain", MultiwayChoiceLabel(choice.use_multiway, chain.leaves.size()),
+         choice.use_multiway ? choice.multiway : choice.binary});
 
     ChoicePoint point;
     point.kind = ChoicePoint::Kind::kMultiway;
@@ -445,19 +446,18 @@ class Lowering {
   }
 
   PhysicalOpPtr LowerUncached(const ExprPtr& e) {
-    if (options_.recognize_division) {
+    if (!options_.reference) {
       if (auto m = MatchEqualityDivision(e)) {
         return LowerDivision(*m, /*equality=*/true, e.get());
       }
       if (auto m = MatchContainmentDivision(e)) {
         return LowerDivision(*m, /*equality=*/false, e.get());
       }
+      if (e->kind() == OpKind::kProjection && e->child(0)->kind() == OpKind::kJoin) {
+        if (PhysicalOpPtr reduced = TrySemijoinReduction(e)) return reduced;
+      }
     }
-    if (options_.recognize_semijoin_projection && e->kind() == OpKind::kProjection &&
-        e->child(0)->kind() == OpKind::kJoin) {
-      if (PhysicalOpPtr reduced = TrySemijoinReduction(e)) return reduced;
-    }
-    if (options_.multiway && stats_ != nullptr && e->kind() == OpKind::kJoin) {
+    if (options_.multiway && CostBased() && e->kind() == OpKind::kJoin) {
       if (PhysicalOpPtr chained = TryMultiwayChain(e)) return chained;
     }
 
@@ -563,11 +563,11 @@ std::string ParallelChoiceLabel(std::size_t partitions) {
 }
 
 std::string DivisionRewriteNote(setjoin::DivisionAlgorithm algorithm, bool equality,
-                                bool cost_based) {
+                                bool priced) {
   return util::StrCat(equality ? "equality-division pattern → division=["
                                : "division pattern → division[",
                       setjoin::DivisionAlgorithmToString(algorithm), "]",
-                      cost_based ? " (cost-based)" : "");
+                      priced ? " (cost-based)" : "");
 }
 
 std::string MultiwayRewriteNote(std::size_t relations, double agm_bound) {
@@ -583,15 +583,7 @@ std::string MultiwayChoiceLabel(bool routed, std::size_t relations) {
 
 EngineOptions EngineOptions::Reference() {
   EngineOptions options;
-  options.recognize_division = false;
-  options.recognize_semijoin_projection = false;
-  options.use_fast_semijoin = false;
-  return options;
-}
-
-EngineOptions EngineOptions::CostBased() {
-  EngineOptions options;
-  options.cost_based = true;
+  options.reference = true;
   return options;
 }
 
@@ -612,17 +604,14 @@ EngineOptions EngineOptions::WithCalibration(
 std::uint64_t OptionsFingerprint(const EngineOptions& options) {
   std::uint64_t h = util::kFnvOffsetBasis;
   auto mix = [&h](std::uint64_t value) { h = util::HashCombine(h, value); };
-  mix(options.recognize_division);
-  mix(options.recognize_semijoin_projection);
-  mix(options.use_fast_semijoin);
-  mix(static_cast<std::uint64_t>(options.division_algorithm));
-  mix(static_cast<std::uint64_t>(options.containment_algorithm));
-  mix(static_cast<std::uint64_t>(options.set_equality_algorithm));
-  mix(options.cost_based);
+  mix(options.reference);
+  // 0 for no override, else the algorithm's enumerator + 1.
+  mix(options.division_algorithm
+          ? static_cast<std::uint64_t>(*options.division_algorithm) + 1
+          : 0);
   mix(options.multiway);
   mix(options.batch_size);
   mix(options.threads);
-  mix(options.collect_node_stats);
   mix(options.max_intermediate_budget);
   // A calibrated model prices (and so lowers) differently from an
   // uncalibrated one; keep their cache entries apart. Store contents

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -34,43 +35,39 @@ class ResultCache;       // engine/result_cache.h
 class CalibrationStore;  // engine/calibration.h
 
 /// Knobs for planning and execution.
+///
+/// There is one plan policy besides the reference lowering. The planner
+/// routes the division pattern to a direct division operator, lowers
+/// one-sided π(⋈) to a semijoin, and runs semijoins on the sa::Semijoin
+/// fast kernels. When statistics are available (Engine::Run,
+/// Engine::Prepare and Plan(expr, db) supply them) it prices every call
+/// site with the cost model (engine/cost.h): the division algorithm, the
+/// semijoin strategy, serial vs partitioned execution and, with
+/// `multiway`, binary vs multiway join chains. Every priced decision is
+/// recorded in PhysicalPlan::choices / PlanStats::choices. Without
+/// statistics (Plan(expr, schema)) a fixed fallback applies: hash
+/// division, the fast semijoin kernel, and pool-width fan-out.
 struct EngineOptions {
-  /// Route the classic division pattern (and its equality variant) to a
-  /// direct division operator.
-  bool recognize_division = true;
+  /// The 1:1 lowering with every rewrite, fast kernel and priced decision
+  /// disabled — exactly the legacy ra::Eval semantics, per-node stats
+  /// included, with or without statistics. Set by Reference(); a plan
+  /// choice only: it runs on the same pipelined executor as every other
+  /// policy.
+  bool reference = false;
 
-  /// Lower π_cols(E1 ⋈_θ E2) with one-sided cols to π_cols(E1 ⋉_θ E2).
-  bool recognize_semijoin_projection = true;
+  /// Forces the algorithm of every routed division pattern instead of
+  /// letting the cost model pick it (unset, the default). For tests and
+  /// benches that sweep the kernels; the serial-vs-partitioned decision is
+  /// still priced.
+  std::optional<setjoin::DivisionAlgorithm> division_algorithm;
 
-  /// Use the sa::Semijoin specialized kernels for semijoin nodes (the
-  /// alternative is the generic reference implementation).
-  bool use_fast_semijoin = true;
-
-  /// Algorithm overrides for the pattern-routed operators. Consulted when
-  /// `cost_based` is off (or no statistics are available).
-  setjoin::DivisionAlgorithm division_algorithm =
-      setjoin::DivisionAlgorithm::kHashDivision;
-  setjoin::ContainmentAlgorithm containment_algorithm =
-      setjoin::ContainmentAlgorithm::kInvertedIndex;
-  setjoin::EqualityJoinAlgorithm set_equality_algorithm =
-      setjoin::EqualityJoinAlgorithm::kCanonicalHash;
-
-  /// Collect maximal binary-join chains into a join hypergraph and route
-  /// them to the worst-case-optimal multiway operator
-  /// (engine/multiway.h) when the written binary plan's estimated max
-  /// intermediate exceeds the AGM fractional-edge-cover bound (cost-based
-  /// mode prices both kernels instead and records the choice). Requires
-  /// statistics (Engine::Run supplies them); without stats the chains are
+  /// Collect maximal binary-join chains into a join hypergraph, price the
+  /// worst-case-optimal multiway operator (engine/multiway.h) against the
+  /// written binary plan, and route the chain to the cheaper one. Needs
+  /// statistics and is ignored by Reference(); without them the chains are
   /// lowered 1:1. Off by default: multiway routing changes plan shape,
-  /// so existing baselines opt in explicitly via WithMultiway().
+  /// so callers opt in via WithMultiway().
   bool multiway = false;
-
-  /// Pick the algorithm per call site from relation statistics via the
-  /// cost model (engine/cost.h) instead of the fixed defaults above.
-  /// Requires statistics (Planner::Lower's `stats`, supplied automatically
-  /// by Engine::Run); without them the fixed defaults still apply. Every
-  /// choice is recorded in PhysicalPlan::choices / PlanStats::choices.
-  bool cost_based = false;
 
   /// Tuples per batch on the pipelined batch surface (engine/batch.h):
   /// streaming operators pass batches of this many tuples to their
@@ -87,8 +84,8 @@ struct EngineOptions {
   /// key. Like `batch_size`, this is an execution knob, not a semantics
   /// change: results and per-operator PlanStats row counts are identical
   /// to the serial run (tests/batch_exec_test.cc enforces it at threads
-  /// {1, 2, 7}); only PlanStats::threads_used/partitions differ. Under
-  /// `cost_based` the planner additionally decides serial vs partitioned
+  /// {1, 2, 7}); only PlanStats::threads_used/partitions differ. With
+  /// statistics the planner additionally decides serial vs partitioned
   /// per call site from the inputs' shapes and records the decision in
   /// PlanStats::choices. Values < 1 are treated as 1.
   std::size_t threads = 1;
@@ -125,30 +122,21 @@ struct EngineOptions {
   /// OptionsFingerprint mixes its presence.
   std::shared_ptr<CalibrationStore> calibration;
 
-  /// Record one OpStats entry per executed operator (max/total intermediate
-  /// sizes are tracked regardless).
-  bool collect_node_stats = true;
-
   /// When non-zero, a run fails (Result error) as soon as any operator
   /// materializes more than this many tuples — a guardrail for serving
   /// workloads that must not buffer quadratic intermediates.
   std::size_t max_intermediate_budget = 0;
 
-  /// The 1:1 lowering with every rewrite and fast kernel disabled —
-  /// exactly the legacy ra::Eval semantics, per-node stats included. A
-  /// plan choice only: it runs on the same pipelined executor as every
-  /// other preset.
+  /// The reference lowering (see `reference`).
   static EngineOptions Reference();
 
-  /// The rewrite-enabled options with statistics-driven algorithm
-  /// selection: the planner consults the cost model per call site instead
-  /// of the fixed algorithm defaults.
-  static EngineOptions CostBased();
+  /// Another spelling of the default options, kept for existing callers.
+  static EngineOptions CostBased() { return {}; }
 
   // -- Fluent composition ----------------------------------------------------
   // The presets above return a fresh value; these mutators layer knobs on
   // top of any preset without overwriting the rest, so
-  // `EngineOptions::CostBased().WithThreads(4).WithMultiway()` reads as the
+  // `EngineOptions{}.WithThreads(4).WithMultiway()` reads as the
   // sum of its parts. Each returns a modified copy (value semantics).
 
   EngineOptions WithThreads(std::size_t n) const {
@@ -189,8 +177,8 @@ struct EngineOptions {
 };
 
 /// Deterministic hash of every EngineOptions field that can change what a
-/// lowered plan looks like or what a run produces (rewrites, algorithm
-/// defaults, cost_based, execution mode, budgets, stats collection).
+/// lowered plan looks like or what a run produces (the reference policy,
+/// the division override, multiway, execution knobs, budgets, calibration).
 /// The cache-wiring fields (plan_cache, result_cache) are excluded: they
 /// select *where* plans/results are stored, never what they are. The
 /// caches mix this into their keys so engines configured differently can
@@ -247,7 +235,7 @@ struct ChoicePoint {
   std::size_t multiway_key_leaf = 0;
   std::size_t multiway_key_column = 1;
   /// This decision's slice of PhysicalPlan::choices (first index + count;
-  /// 0 when the plan was not cost-based), updated in place on re-cost so
+  /// 0 when the decision was not priced), updated in place on re-cost so
   /// revalidated runs report choices in the exact fresh-lowering order.
   std::size_t first_choice = 0;
   std::size_t num_choices = 0;
@@ -261,7 +249,7 @@ struct ChoicePoint {
 struct PhysicalPlan {
   PhysicalOpPtr root;
   std::vector<std::string> rewrites;
-  /// Cost-based algorithm selections (empty unless cost_based + stats).
+  /// Priced decisions (empty without statistics and under Reference()).
   std::vector<AlgorithmChoice> choices;
   /// Plan-time cost-model predictions per operator (populated whenever
   /// statistics were available at lowering time). The executor copies the
@@ -284,11 +272,12 @@ struct PhysicalPlan {
 
 /// The rewrite note LowerDivision records for a routed division pattern —
 /// shared with plan-cache revalidation, which rewrites the note in place
-/// when a repick changes the algorithm the note names.
+/// when a repick changes the algorithm the note names. `priced` marks an
+/// algorithm the cost model picked (not the fallback or an override).
 std::string DivisionRewriteNote(setjoin::DivisionAlgorithm algorithm, bool equality,
-                                bool cost_based);
+                                bool priced);
 
-/// The label CostBased() records for an execution-parallelism decision:
+/// The label recorded for a priced execution-parallelism decision:
 /// "partitioned[N]" (N > 1) or "serial".
 std::string ParallelChoiceLabel(std::size_t partitions);
 
@@ -307,8 +296,8 @@ class Planner {
 
   /// Validates `expr` against `schema` and lowers it. Never aborts on user
   /// input: schema mismatches come back as Result errors. When `stats` is
-  /// non-null the plan is annotated with cost estimates, and cost_based
-  /// options select algorithms from them.
+  /// non-null the plan is annotated with cost estimates and, unless the
+  /// options are Reference(), every decision is priced from them.
   util::Result<PhysicalPlan> Lower(const ra::ExprPtr& expr, const core::Schema& schema,
                                    const stats::StatsProvider* stats = nullptr) const;
 

@@ -13,7 +13,12 @@ namespace setalg::ra {
 // per-node cardinalities (Definition 16), same join_rows_emitted. The
 // pattern-aware planner lives behind engine::Engine with default options.
 core::Relation Eval(const ExprPtr& expr, const core::Database& db, EvalStats* stats) {
-  auto result = engine::Engine::Run(expr, db, engine::EngineOptions::Reference());
+  // Schema-only planning: the reference lowering prices nothing, so a
+  // statistics pass would be wasted on this throwaway engine.
+  const engine::Engine engine(engine::EngineOptions::Reference());
+  auto plan = engine.Plan(expr, db.schema());
+  SETALG_CHECK_STREAM(plan.ok()) << plan.error();
+  auto result = engine.Run(*plan, db);
   SETALG_CHECK_STREAM(result.ok()) << result.error();
   if (stats != nullptr) *stats = engine::ToEvalStats(result->stats);
   return std::move(result->relation);

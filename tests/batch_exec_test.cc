@@ -204,21 +204,33 @@ void ExpectPlanMatchesOracle(const EngineOptions& base, const PhysicalPlan& plan
   }
 }
 
-// Lowers `expr` once under `base` options and checks the plan across the
-// differential matrix (ExpectPlanMatchesOracle).
-void ExpectBatchedMatches(const EngineOptions& base, const ra::ExprPtr& expr,
-                          const core::Database& db, const std::string& context) {
+// Lowers `expr` once under `base` options — from `db`'s statistics, or
+// from its schema alone — and checks the plan across the differential
+// matrix (ExpectPlanMatchesOracle). The plan-cache leg runs only for
+// statistics-planned plans: the cache always plans with statistics, so it
+// compares runs of the same mode.
+void ExpectBatchedMatches(const EngineOptions& base, bool statistics,
+                          const ra::ExprPtr& expr, const core::Database& db,
+                          const std::string& context) {
   const Engine planner(base);
-  auto plan = base.cost_based ? planner.Plan(expr, db) : planner.Plan(expr, db.schema());
+  auto plan = statistics ? planner.Plan(expr, db) : planner.Plan(expr, db.schema());
   ASSERT_TRUE(plan.ok()) << context << ": " << plan.error();
-  ExpectPlanMatchesOracle(base, *plan, db, expr, context);
+  ExpectPlanMatchesOracle(base, *plan, db, statistics ? expr : nullptr, context);
 }
 
-// The three planning modes the harness drives every workload through.
-std::vector<std::pair<std::string, EngineOptions>> AllModes() {
-  return {{"reference", EngineOptions::Reference()},
-          {"planned", EngineOptions{}},
-          {"cost-based", EngineOptions::CostBased()}};
+// The three planning modes the harness drives every workload through: the
+// reference lowering, the default policy planned from the schema alone
+// (its fixed fallback), and the default policy priced from statistics.
+struct Mode {
+  std::string name;
+  EngineOptions options;
+  bool statistics;
+};
+
+std::vector<Mode> AllModes() {
+  return {{"reference", EngineOptions::Reference(), true},
+          {"schema-only", EngineOptions{}, false},
+          {"statistics", EngineOptions{}, true}};
 }
 
 // ---------------------------------------------------------------------------
@@ -236,8 +248,8 @@ TEST(BatchExec, DifferentialOnRandomSaExpressions) {
     setalg::testing::RandomSaEqGenerator generator(schema, {1, 2, 3}, seed * 97);
     for (int trial = 0; trial < 6; ++trial) {
       const auto expr = generator.Generate(1 + trial % 2, 3);
-      for (const auto& [name, options] : AllModes()) {
-        ExpectBatchedMatches(options, expr, db,
+      for (const auto& [name, options, statistics] : AllModes()) {
+        ExpectBatchedMatches(options, statistics, expr, db,
                              name + " seed " + std::to_string(seed) + " expr " +
                                  expr->ToString());
       }
@@ -270,8 +282,8 @@ TEST(BatchExec, DifferentialOnJoinFormsOfRandomExpressions) {
       exprs.push_back(ra::SemiJoinToJoin(generator.Generate(1, 3)));
     }
     for (const auto& expr : exprs) {
-      for (const auto& [name, options] : AllModes()) {
-        ExpectBatchedMatches(options, expr, db,
+      for (const auto& [name, options, statistics] : AllModes()) {
+        ExpectBatchedMatches(options, statistics, expr, db,
                              name + " seed " + std::to_string(seed) + " expr " +
                                  expr->ToString());
       }
@@ -337,8 +349,8 @@ TEST(BatchExec, DifferentialOnDivisionWorkloads) {
     const auto db = setalg::testing::DivisionDb(instance.r, instance.s);
     for (const auto& expr : {setjoin::ClassicDivisionExpr("R", "S"),
                              setjoin::ClassicEqualityDivisionExpr("R", "S")}) {
-      for (const auto& [name, options] : AllModes()) {
-        ExpectBatchedMatches(options, expr, db,
+      for (const auto& [name, options, statistics] : AllModes()) {
+        ExpectBatchedMatches(options, statistics, expr, db,
                              name + " division seed " + std::to_string(seed));
       }
     }
@@ -346,7 +358,9 @@ TEST(BatchExec, DifferentialOnDivisionWorkloads) {
 }
 
 // Every division algorithm behind the operator, including the streaming
-// hash/aggregate probe paths and the blocking kernels.
+// hash/aggregate probe paths and the blocking kernels. The override must
+// win over the cost model when statistics are present, or the sweep would
+// silently collapse onto the model's pick.
 TEST(BatchExec, DifferentialAcrossDivisionAlgorithms) {
   const std::uint64_t base = BaseSeed();
   workload::DivisionConfig config;
@@ -358,13 +372,21 @@ TEST(BatchExec, DifferentialAcrossDivisionAlgorithms) {
   config.seed = base;
   const auto instance = workload::MakeDivisionInstance(config);
   const auto db = setalg::testing::DivisionDb(instance.r, instance.s);
+  const auto expr = setjoin::ClassicDivisionExpr("R", "S");
   for (auto algorithm : setjoin::AllDivisionAlgorithms()) {
     EngineOptions options;
     options.division_algorithm = algorithm;
-    ExpectBatchedMatches(
-        options, setjoin::ClassicDivisionExpr("R", "S"), db,
-        std::string("division algorithm ") +
-            setjoin::DivisionAlgorithmToString(algorithm));
+    const std::string name = setjoin::DivisionAlgorithmToString(algorithm);
+    for (bool statistics : {false, true}) {
+      const std::string context = "division algorithm " + name +
+                                  (statistics ? " statistics" : " schema-only");
+      auto plan = statistics ? Engine(options).Plan(expr, db)
+                             : Engine(options).Plan(expr, db.schema());
+      ASSERT_TRUE(plan.ok()) << context << ": " << plan.error();
+      EXPECT_NE(plan->root->label().find("[" + name + "]"), std::string::npos)
+          << context << ": " << plan->root->label();
+      ExpectPlanMatchesOracle(options, *plan, db, statistics ? expr : nullptr, context);
+    }
   }
 }
 
@@ -377,9 +399,9 @@ TEST(BatchExec, DifferentialOnGeneratorFamilies) {
 
   {
     const auto db = workload::DivisionFamilyDatabase(240, 6, base);
-    for (const auto& [name, options] : AllModes()) {
-      ExpectBatchedMatches(options, setjoin::ClassicDivisionExpr("R", "S"), db,
-                           name + " division-family");
+    for (const auto& [name, options, statistics] : AllModes()) {
+      ExpectBatchedMatches(options, statistics, setjoin::ClassicDivisionExpr("R", "S"),
+                           db, name + " division-family");
     }
   }
   {
@@ -387,8 +409,8 @@ TEST(BatchExec, DifferentialOnGeneratorFamilies) {
     setalg::testing::RandomSaEqGenerator generator(db.schema(), {1, 2}, base * 7);
     for (int trial = 0; trial < 4; ++trial) {
       const auto expr = generator.Generate(1 + trial % 2, 3);
-      for (const auto& [name, options] : AllModes()) {
-        ExpectBatchedMatches(options, expr, db, name + " sparse-binary");
+      for (const auto& [name, options, statistics] : AllModes()) {
+        ExpectBatchedMatches(options, statistics, expr, db, name + " sparse-binary");
       }
     }
   }
@@ -397,8 +419,8 @@ TEST(BatchExec, DifferentialOnGeneratorFamilies) {
     setalg::testing::RandomSaEqGenerator generator(db.schema(), {1, 2}, base * 11);
     for (int trial = 0; trial < 4; ++trial) {
       const auto expr = generator.Generate(2, 3);
-      for (const auto& [name, options] : AllModes()) {
-        ExpectBatchedMatches(options, expr, db, name + " two-relation");
+      for (const auto& [name, options, statistics] : AllModes()) {
+        ExpectBatchedMatches(options, statistics, expr, db, name + " two-relation");
       }
     }
   }
@@ -456,8 +478,8 @@ core::Database TriangleChainDatabase(std::size_t n, std::size_t d,
 TEST(BatchExec, DifferentialOnMultiwayJoinChains) {
   const auto db = TriangleChainDatabase(300, 6, BaseSeed());
   const auto expr = TriangleChainExpr();
-  const EngineOptions on = EngineOptions::CostBased().WithMultiway();
-  const EngineOptions off = EngineOptions::CostBased();
+  const EngineOptions on = EngineOptions{}.WithMultiway();
+  const EngineOptions off;
 
   // The skew must actually flip the routing, or the leg below would
   // exercise nothing new.
@@ -473,8 +495,8 @@ TEST(BatchExec, DifferentialOnMultiwayJoinChains) {
   }
   ASSERT_TRUE(routed) << "triangle chain kept the binary plan";
 
-  ExpectBatchedMatches(on, expr, db, "multiway-on triangle");
-  ExpectBatchedMatches(off, expr, db, "multiway-off triangle");
+  ExpectBatchedMatches(on, /*statistics=*/true, expr, db, "multiway-on triangle");
+  ExpectBatchedMatches(off, /*statistics=*/true, expr, db, "multiway-off triangle");
 
   // Multiway on vs off: different plans, byte-identical results.
   auto with = Engine(on).Run(expr, db);
@@ -600,7 +622,7 @@ TEST(BatchExec, BudgetAbortsOversizedBatchedRuns) {
       MakeRel(2, {{1, 10}, {2, 20}, {3, 10}}), MakeRel(1, {{10}, {30}}));
   EngineOptions options = EngineOptions::Reference().WithBatchSize(2);
   options.max_intermediate_budget = 2;
-  auto run = Engine::Run(ra::Product(ra::Rel("R", 2), ra::Rel("S", 1)), db, options);
+  auto run = Engine(options).Run(ra::Product(ra::Rel("R", 2), ra::Rel("S", 1)), db);
   ASSERT_FALSE(run.ok());
   EXPECT_NE(run.error().find("budget"), std::string::npos);
 }

@@ -154,7 +154,7 @@ TEST(Engine, RepeatedRunsFeedTheStoreAndShrinkTheDivisionEstimate) {
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
   auto store = std::make_shared<CalibrationStore>();
-  const Engine engine(EngineOptions::CostBased().WithCalibration(store));
+  const Engine engine(EngineOptions{}.WithCalibration(store));
   for (int i = 0; i < 8; ++i) {
     auto run = engine.Run(expr, db);
     ASSERT_TRUE(run.ok()) << run.error();
@@ -178,9 +178,9 @@ TEST(Engine, CalibrationLeavesResultsUnchanged) {
   const auto db = setalg::testing::DivisionDb(instance.r, instance.s);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
-  auto run_plain = Engine::Run(expr, db, EngineOptions::CostBased());
+  auto run_plain = Engine().Run(expr, db);
   ASSERT_TRUE(run_plain.ok());
-  const Engine calibrated(EngineOptions::CostBased().WithCalibration());
+  const Engine calibrated(EngineOptions{}.WithCalibration());
   for (int i = 0; i < 6; ++i) {
     auto run = calibrated.Run(expr, db);
     ASSERT_TRUE(run.ok()) << run.error();
@@ -204,12 +204,12 @@ TEST(Engine, SharedStoreTunesAcrossEngines) {
 
   auto store = std::make_shared<CalibrationStore>();
   {
-    const Engine first(EngineOptions::CostBased().WithCalibration(store));
+    const Engine first(EngineOptions{}.WithCalibration(store));
     for (int i = 0; i < 8; ++i) ASSERT_TRUE(first.Run(expr, db).ok());
   }
   const double learned = store->OutputFactor("out:division");
   EXPECT_LT(learned, 1.0);
-  const Engine second(EngineOptions::CostBased().WithCalibration(store));
+  const Engine second(EngineOptions{}.WithCalibration(store));
   auto run = second.Run(expr, db);
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->relation,
@@ -220,7 +220,7 @@ TEST(Engine, SharedStoreTunesAcrossEngines) {
 }
 
 TEST(EngineOptions, CalibrationChangesTheFingerprint) {
-  const EngineOptions plain = EngineOptions::CostBased();
+  const EngineOptions plain;
   const EngineOptions tuned = plain.WithCalibration();
   EXPECT_NE(OptionsFingerprint(plain), OptionsFingerprint(tuned))
       << "calibrated and uncalibrated plans must not share cache entries";

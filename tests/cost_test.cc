@@ -1,7 +1,9 @@
-// Tests for cost-based planning: CostBased() parity with Reference() on
-// randomized databases, the model's algorithm choices at the paper's
-// benchmark shapes (hash division / hash set-join at scale), and the
-// estimated-vs-actual instrumentation in PlanStats.
+// Tests for cost-based planning, the default policy whenever statistics
+// are available: parity with Reference() on randomized databases, the
+// model's algorithm choices at the paper's benchmark shapes (hash
+// division / hash set-join at scale), the estimated-vs-actual
+// instrumentation in PlanStats, and the reference lowering staying free of
+// priced decisions.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,6 +16,7 @@
 #include "setjoin/division.h"
 #include "stats/stats.h"
 #include "test_util.h"
+#include "txn/snapshot.h"
 #include "workload/generators.h"
 
 namespace setalg::engine {
@@ -53,7 +56,7 @@ ExprEstimate EstimateOf(const Relation& relation) {
 // ---------------------------------------------------------------------------
 
 TEST(CostBased, MatchesReferenceOnRandomizedDivisionInstances) {
-  const Engine cost_based(EngineOptions::CostBased());
+  const Engine planned;
   const Engine reference(EngineOptions::Reference());
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     workload::DivisionConfig config;
@@ -66,7 +69,7 @@ TEST(CostBased, MatchesReferenceOnRandomizedDivisionInstances) {
     const auto db = InstanceDb(workload::MakeDivisionInstance(config));
     for (const auto& expr : {setjoin::ClassicDivisionExpr("R", "S"),
                              setjoin::ClassicEqualityDivisionExpr("R", "S")}) {
-      auto fast = cost_based.Run(expr, db);
+      auto fast = planned.Run(expr, db);
       auto slow = reference.Run(expr, db);
       ASSERT_TRUE(fast.ok()) << fast.error();
       ASSERT_TRUE(slow.ok()) << slow.error();
@@ -80,14 +83,14 @@ TEST(CostBased, MatchesReferenceOnRandomExpressions) {
   schema.AddRelation("R", 2);
   schema.AddRelation("S", 1);
   schema.AddRelation("T", 2);
-  const Engine cost_based(EngineOptions::CostBased());
+  const Engine planned;
   for (std::uint64_t seed = 21; seed <= 26; ++seed) {
     const auto db = setalg::testing::RandomDatabase(schema, 30, 12, seed);
     setalg::testing::RandomSaEqGenerator generator(schema, {1, 2, 3}, seed * 89);
     for (int trial = 0; trial < 10; ++trial) {
       const auto expr = generator.Generate(1 + trial % 2, 3);
       const Relation expected = ra::Eval(expr, db);
-      auto run = cost_based.Run(expr, db);
+      auto run = planned.Run(expr, db);
       ASSERT_TRUE(run.ok()) << run.error();
       EXPECT_EQ(run->relation, expected) << expr->ToString();
     }
@@ -98,14 +101,14 @@ TEST(CostBased, MatchesReferenceOnJoinFormsOfRandomExpressions) {
   core::Schema schema;
   schema.AddRelation("R", 2);
   schema.AddRelation("S", 1);
-  const Engine cost_based(EngineOptions::CostBased());
+  const Engine planned;
   for (std::uint64_t seed = 31; seed <= 34; ++seed) {
     const auto db = setalg::testing::RandomDatabase(schema, 24, 10, seed);
     setalg::testing::RandomSaEqGenerator generator(schema, {1, 2}, seed * 131);
     for (int trial = 0; trial < 8; ++trial) {
       const auto expr = ra::SemiJoinToJoin(generator.Generate(1, 3));
       const Relation expected = ra::Eval(expr, db);
-      auto run = cost_based.Run(expr, db);
+      auto run = planned.Run(expr, db);
       ASSERT_TRUE(run.ok()) << run.error();
       EXPECT_EQ(run->relation, expected) << expr->ToString();
     }
@@ -120,7 +123,7 @@ TEST(CostBased, PicksHashDivisionAtBenchScale) {
   // The acceptance shape: at n=16000 the model must route the classic RA
   // expression to hash division (the bench JSON asserts the same).
   const auto db = InstanceDb(BenchInstance(16000));
-  const Engine engine(EngineOptions::CostBased());
+  const Engine engine;
   auto run = engine.Run(setjoin::ClassicDivisionExpr("R", "S"), db);
   ASSERT_TRUE(run.ok()) << run.error();
   ASSERT_FALSE(run->stats.choices.empty());
@@ -220,7 +223,7 @@ TEST(CostBased, RecordsSerialVsPartitionedChoicePerCallSite) {
   // decision; at bench scale it must be partitioned, and the partitioned
   // run must still match the serial cost-based result.
   const auto db = InstanceDb(BenchInstance(8000));
-  EngineOptions parallel = EngineOptions::CostBased();
+  EngineOptions parallel;
   parallel.threads = 4;
   const Engine engine(parallel);
   auto run = engine.Run(setjoin::ClassicDivisionExpr("R", "S"), db);
@@ -235,8 +238,7 @@ TEST(CostBased, RecordsSerialVsPartitionedChoicePerCallSite) {
   EXPECT_TRUE(found) << "no division-execution choice recorded";
   EXPECT_GT(run->stats.partitions, 0u);
 
-  auto serial = Engine(EngineOptions::CostBased())
-                    .Run(setjoin::ClassicDivisionExpr("R", "S"), db);
+  auto serial = Engine().Run(setjoin::ClassicDivisionExpr("R", "S"), db);
   ASSERT_TRUE(serial.ok()) << serial.error();
   EXPECT_EQ(run->relation, serial->relation);
   EXPECT_EQ(run->stats.max_intermediate, serial->stats.max_intermediate);
@@ -252,7 +254,7 @@ TEST(CostBased, NoPartitionedChoiceForSemijoinsWithoutAnEqualityAtom) {
   core::Database db(schema);
   db.SetRelation("R", workload::UniformBinaryRelation(300, 40, 3));
   db.SetRelation("T", workload::UniformBinaryRelation(300, 40, 4));
-  EngineOptions parallel = EngineOptions::CostBased();
+  EngineOptions parallel;
   parallel.threads = 4;
   const auto expr = ra::SemiJoin(ra::Rel("R", 2), ra::Rel("T", 2),
                                  {{1, ra::Cmp::kLt, 1}});
@@ -264,7 +266,7 @@ TEST(CostBased, NoPartitionedChoiceForSemijoinsWithoutAnEqualityAtom) {
         << "that cannot partition";
   }
   EXPECT_EQ(run->stats.partitions, 0u);
-  auto serial = Engine(EngineOptions::CostBased()).Run(expr, db);
+  auto serial = Engine().Run(expr, db);
   ASSERT_TRUE(serial.ok()) << serial.error();
   EXPECT_EQ(run->relation, serial->relation);
 }
@@ -287,7 +289,7 @@ TEST(CostModel, SemijoinKernelChoiceDegradesToGenericOnTinyInputs) {
 
 TEST(CostBased, ScanEstimatesAreExactAndPairedWithActuals) {
   const auto db = InstanceDb(BenchInstance(1000));
-  const Engine engine(EngineOptions::CostBased());
+  const Engine engine;
   auto run = engine.Run(setjoin::ClassicDivisionExpr("R", "S"), db);
   ASSERT_TRUE(run.ok()) << run.error();
   bool saw_scan = false;
@@ -309,7 +311,7 @@ TEST(CostBased, SchemaOnlyPlanningFallsBackToDefaults) {
   core::Schema schema;
   schema.AddRelation("R", 2);
   schema.AddRelation("S", 1);
-  const Engine engine(EngineOptions::CostBased());
+  const Engine engine;
   auto plan = engine.Plan(setjoin::ClassicDivisionExpr("R", "S"), schema);
   ASSERT_TRUE(plan.ok()) << plan.error();
   EXPECT_TRUE(plan->choices.empty());
@@ -321,11 +323,88 @@ TEST(CostBased, SchemaOnlyPlanningFallsBackToDefaults) {
 
 TEST(CostBased, ExplainShowsTheChoice) {
   const auto db = InstanceDb(BenchInstance(2000));
-  const Engine engine(EngineOptions::CostBased());
+  const Engine engine;
   auto text = engine.Explain(setjoin::ClassicDivisionExpr("R", "S"), db);
   ASSERT_TRUE(text.ok()) << text.error();
   EXPECT_NE(text->find("cost-based: division → hash-division"), std::string::npos)
       << *text;
+}
+
+// ---------------------------------------------------------------------------
+// One policy: CostBased() is the default, and Reference() stays unpriced.
+// ---------------------------------------------------------------------------
+
+// R and S of the bench's division shape plus a binary T for semijoins.
+core::Database PolicyDb() {
+  const auto instance = BenchInstance(2000);
+  core::Schema schema;
+  schema.AddRelation("R", 2);
+  schema.AddRelation("S", 1);
+  schema.AddRelation("T", 2);
+  core::Database db(schema);
+  db.SetRelation("R", instance.r);
+  db.SetRelation("S", instance.s);
+  db.SetRelation("T", workload::UniformBinaryRelation(300, 40, 4));
+  return db;
+}
+
+// Division shapes, semijoins with and without an equality atom, and a
+// one-sided π(⋈) the planner reduces to a semijoin.
+std::vector<ra::ExprPtr> PolicyExprs() {
+  return {setjoin::ClassicDivisionExpr("R", "S"),
+          setjoin::ClassicEqualityDivisionExpr("R", "S"),
+          ra::SemiJoin(ra::Rel("R", 2), ra::Rel("T", 2), {{2, ra::Cmp::kEq, 1}}),
+          ra::SemiJoin(ra::Rel("R", 2), ra::Rel("T", 2), {{1, ra::Cmp::kLt, 1}}),
+          ra::Project(ra::Join(ra::Rel("R", 2), ra::Rel("T", 2), {{2, ra::Cmp::kEq, 1}}),
+                      {1})};
+}
+
+TEST(CostBased, IsASpellingOfTheDefaultOptions) {
+  // Existing callers spell the default policy EngineOptions::CostBased();
+  // the two spellings must stay one configuration: one cache key, and the
+  // same plans with statistics.
+  EXPECT_EQ(OptionsFingerprint(EngineOptions::CostBased()),
+            OptionsFingerprint(EngineOptions{}));
+  const auto db = PolicyDb();
+  for (std::size_t threads : {1u, 4u}) {
+    const Engine spelled(EngineOptions::CostBased().WithThreads(threads));
+    const Engine fresh(EngineOptions{}.WithThreads(threads));
+    for (const auto& expr : PolicyExprs()) {
+      auto a = spelled.Plan(expr, db);
+      auto b = fresh.Plan(expr, db);
+      ASSERT_TRUE(a.ok() && b.ok()) << expr->ToString();
+      EXPECT_FALSE(b->choices.empty()) << expr->ToString();
+      EXPECT_EQ(a->ToString(), b->ToString()) << expr->ToString();
+    }
+  }
+}
+
+TEST(ReferenceOracle, PricesNothingWithSnapshotStatisticsAndAPool) {
+  // The reference lowering is the oracle every differential harness
+  // compares against. A persistent multi-threaded engine handed a snapshot
+  // (its own statistics provider) must still lower 1:1, run every
+  // semijoin on the generic implementation, and record no priced
+  // decision.
+  const auto db = PolicyDb();
+  const txn::VersionedDatabase head(db);
+  const txn::SnapshotPtr snapshot = head.snapshot();
+  const Engine engine(EngineOptions::Reference().WithThreads(4));
+  for (const auto& expr : PolicyExprs()) {
+    auto run = engine.Run(expr, *snapshot);
+    ASSERT_TRUE(run.ok()) << run.error();
+    EXPECT_EQ(run->relation, ra::Eval(expr, db)) << expr->ToString();
+    EXPECT_TRUE(run->stats.choices.empty()) << expr->ToString();
+    EXPECT_TRUE(run->stats.rewrites.empty()) << expr->ToString();
+    bool saw_estimate = false;
+    for (const auto& op : run->stats.ops) {
+      saw_estimate |= op.has_estimate;
+      EXPECT_EQ(op.label.rfind("division", 0), std::string::npos) << op.label;
+      if (op.label.rfind("semijoin", 0) == 0) {
+        EXPECT_NE(op.label.find("(generic)"), std::string::npos) << op.label;
+      }
+    }
+    EXPECT_TRUE(saw_estimate) << "the run must have planned with statistics";
+  }
 }
 
 }  // namespace

@@ -51,21 +51,21 @@ workload::DivisionInstance QuadraticInstance() {
 TEST(Engine, EvaluatesSimpleExpressions) {
   const auto db = SmallDb();
   auto e = ra::Diff(ra::Rel("S", 1), ra::Project(ra::Rel("R", 2), {2}));
-  auto run = Engine::Run(e, db, EngineOptions{});
+  auto run = Engine().Run(e, db);
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->relation, MakeRel(1, {{30}}));
 }
 
 TEST(Engine, UnknownRelationIsAnErrorNotAnAbort) {
   const auto db = SmallDb();
-  auto run = Engine::Run(ra::Rel("Missing", 2), db, EngineOptions{});
+  auto run = Engine().Run(ra::Rel("Missing", 2), db);
   ASSERT_FALSE(run.ok());
   EXPECT_NE(run.error().find("Missing"), std::string::npos);
 }
 
 TEST(Engine, ArityMismatchIsAnError) {
   const auto db = SmallDb();
-  auto run = Engine::Run(ra::Rel("S", 3), db, EngineOptions{});
+  auto run = Engine().Run(ra::Rel("S", 3), db);
   EXPECT_FALSE(run.ok());
 }
 
@@ -126,7 +126,7 @@ TEST(Engine, ReferenceModeReproducesLegacyStats) {
   ra::EvalStats legacy;
   const Relation expected = ra::Eval(e, db, &legacy);
 
-  auto run = Engine::Run(e, db, EngineOptions::Reference());
+  auto run = Engine(EngineOptions::Reference()).Run(e, db);
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->relation, expected);
   const ra::EvalStats stats = ToEvalStats(run->stats);
@@ -149,8 +149,8 @@ TEST(Engine, DivisionPatternRoutesToSubquadraticOperator) {
   const auto db = setalg::testing::DivisionDb(instance.r, instance.s);
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
-  auto planned = Engine::Run(expr, db, EngineOptions{});
-  auto reference = Engine::Run(expr, db, EngineOptions::Reference());
+  auto planned = Engine().Run(expr, db);
+  auto reference = Engine(EngineOptions::Reference()).Run(expr, db);
   ASSERT_TRUE(planned.ok());
   ASSERT_TRUE(reference.ok());
 
@@ -175,7 +175,7 @@ TEST(Engine, EqualityDivisionPatternRecognized) {
   const auto db = setalg::testing::DivisionDb(instance.r, instance.s);
   const auto expr = setjoin::ClassicEqualityDivisionExpr("R", "S");
 
-  auto planned = Engine::Run(expr, db, EngineOptions{});
+  auto planned = Engine().Run(expr, db);
   ASSERT_TRUE(planned.ok());
   EXPECT_EQ(planned->relation, ra::Eval(expr, db));
   EXPECT_EQ(planned->relation,
@@ -201,6 +201,13 @@ TEST(Engine, ExplainShowsTheRoutedOperator) {
   auto aggregate_text = Engine(aggregate).Explain(expr, schema);
   ASSERT_TRUE(aggregate_text.ok());
   EXPECT_NE(aggregate_text->find("division[aggregate]"), std::string::npos);
+  // With statistics the override still wins over the cost model.
+  const auto instance = QuadraticInstance();
+  const auto db = setalg::testing::DivisionDb(instance.r, instance.s);
+  auto priced_text = Engine(aggregate).Explain(expr, db);
+  ASSERT_TRUE(priced_text.ok());
+  EXPECT_NE(priced_text->find("division[aggregate]"), std::string::npos)
+      << *priced_text;
 
   auto reference_text = Engine(EngineOptions::Reference()).Explain(expr, schema);
   ASSERT_TRUE(reference_text.ok());
@@ -223,8 +230,8 @@ TEST(Engine, SemijoinReductionAvoidsTheProduct) {
   db.SetRelation("S", s);
 
   const auto expr = ra::Project(ra::Product(ra::Rel("R", 2), ra::Rel("S", 1)), {1});
-  auto planned = Engine::Run(expr, db, EngineOptions{});
-  auto reference = Engine::Run(expr, db, EngineOptions::Reference());
+  auto planned = Engine().Run(expr, db);
+  auto reference = Engine(EngineOptions::Reference()).Run(expr, db);
   ASSERT_TRUE(planned.ok());
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(planned->relation, reference->relation);
@@ -238,7 +245,7 @@ TEST(Engine, MirroredSemijoinReductionKeepsParity) {
   const auto db = SmallDb();
   // Columns {3} live entirely on the right side of R(2) × S(1).
   const auto expr = ra::Project(ra::Product(ra::Rel("R", 2), ra::Rel("S", 1)), {3});
-  auto planned = Engine::Run(expr, db, EngineOptions{});
+  auto planned = Engine().Run(expr, db);
   ASSERT_TRUE(planned.ok());
   EXPECT_EQ(planned->relation, ra::Eval(expr, db));
   EXPECT_FALSE(planned->stats.rewrites.empty());
@@ -248,7 +255,7 @@ TEST(Engine, MixedSideProjectionIsNotReduced) {
   const auto db = SmallDb();
   const auto expr =
       ra::Project(ra::Product(ra::Rel("R", 2), ra::Rel("S", 1)), {1, 3});
-  auto planned = Engine::Run(expr, db, EngineOptions{});
+  auto planned = Engine().Run(expr, db);
   ASSERT_TRUE(planned.ok());
   EXPECT_EQ(planned->relation, ra::Eval(expr, db));
   EXPECT_TRUE(planned->stats.rewrites.empty());
@@ -262,8 +269,7 @@ TEST(Engine, BudgetAbortsOversizedRuns) {
   const auto db = SmallDb();
   EngineOptions options = EngineOptions::Reference();
   options.max_intermediate_budget = 2;
-  auto run = Engine::Run(
-      ra::Product(ra::Rel("R", 2), ra::Rel("S", 1)), db, options);
+  auto run = Engine(options).Run(ra::Product(ra::Rel("R", 2), ra::Rel("S", 1)), db);
   ASSERT_FALSE(run.ok());
   EXPECT_NE(run.error().find("budget"), std::string::npos);
 }
@@ -275,11 +281,11 @@ TEST(Engine, BudgetAdmitsThePlannedDivisionButNotTheClassicPlan) {
 
   EngineOptions planned = EngineOptions{};
   planned.max_intermediate_budget = db.size();
-  EXPECT_TRUE(Engine::Run(expr, db, planned).ok());
+  EXPECT_TRUE(Engine(planned).Run(expr, db).ok());
 
   EngineOptions reference = EngineOptions::Reference();
   reference.max_intermediate_budget = db.size();
-  EXPECT_FALSE(Engine::Run(expr, db, reference).ok());
+  EXPECT_FALSE(Engine(reference).Run(expr, db).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -359,7 +365,12 @@ TEST(Engine, ParallelDivisionMatchesSerialAndRecordsFanOut) {
   for (std::size_t threads : {2u, 7u}) {
     EngineOptions options;
     options.threads = threads;
-    auto run = Engine(options).Run(expr, db);
+    // Schema-only planning prices nothing: the fixed fallback defers the
+    // fan-out to the pool width.
+    const Engine engine(options);
+    auto plan = engine.Plan(expr, db.schema());
+    ASSERT_TRUE(plan.ok()) << plan.error();
+    auto run = engine.Run(*plan, db);
     ASSERT_TRUE(run.ok()) << run.error();
     EXPECT_EQ(run->relation, serial->relation) << threads << " threads";
     EXPECT_EQ(run->stats.threads_used, threads);
@@ -372,7 +383,7 @@ TEST(Engine, BudgetStillEnforcedOnParallelRuns) {
   const auto db = SmallDb();
   EngineOptions options = EngineOptions::Reference().WithThreads(4).WithBatchSize(2);
   options.max_intermediate_budget = 2;
-  auto run = Engine::Run(ra::Product(ra::Rel("R", 2), ra::Rel("S", 1)), db, options);
+  auto run = Engine(options).Run(ra::Product(ra::Rel("R", 2), ra::Rel("S", 1)), db);
   ASSERT_FALSE(run.ok());
   EXPECT_NE(run.error().find("budget"), std::string::npos);
 }
@@ -385,7 +396,7 @@ TEST(Engine, BudgetStillEnforcedOnParallelRuns) {
 TEST(Engine, MutationDuringOpenPreparedHandleStaysCorrect) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}}), MakeRel(1, {{10}, {20}}));
-  const Engine engine(EngineOptions::CostBased());
+  const Engine engine;
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
   auto handle = engine.Prepare(expr, db);

@@ -307,7 +307,7 @@ TEST(MultiwayPlanner, CostBasedRoutingStaysUnderTheAgmBound) {
   const auto db = SkewedTriangleDb(2000, 10, 7);
   const auto expr = BinaryTriangleChain();
 
-  const Engine multiway(EngineOptions::CostBased().WithMultiway());
+  const Engine multiway(EngineOptions{}.WithMultiway());
   auto plan = multiway.Plan(expr, db);
   ASSERT_TRUE(plan.ok()) << plan.error();
   ASSERT_TRUE(plan->has_agm_bound);
@@ -330,7 +330,7 @@ TEST(MultiwayPlanner, CostBasedRoutingStaysUnderTheAgmBound) {
   EXPECT_LE(static_cast<double>(routed->stats.max_intermediate),
             routed->stats.agm_bound);
 
-  const Engine binary(EngineOptions::CostBased());
+  const Engine binary;
   auto kept = binary.Run(expr, db);
   ASSERT_TRUE(kept.ok()) << kept.error();
   EXPECT_FALSE(kept->stats.has_agm_bound);
@@ -340,19 +340,29 @@ TEST(MultiwayPlanner, CostBasedRoutingStaysUnderTheAgmBound) {
   EXPECT_EQ(routed->relation.flat(), kept->relation.flat());
 }
 
-TEST(MultiwayPlanner, PlannedModeRoutesOnIntermediateVsBound) {
-  // Without cost_based the router compares the binary plan's estimated
-  // max intermediate against the AGM bound directly.
+TEST(MultiwayPlanner, RoutingNeedsPricingSoSchemaOnlyAndReferenceLowerOneToOne) {
+  // Routing is a priced decision: without statistics, and under the
+  // reference lowering even with statistics, the chain stays binary.
   const auto db = SkewedTriangleDb(2000, 10, 9);
-  const Engine engine(EngineOptions{}.WithMultiway());
-  auto plan = engine.Plan(BinaryTriangleChain(), db);
-  ASSERT_TRUE(plan.ok()) << plan.error();
-  EXPECT_TRUE(RoutedToMultiway(*plan));
-  auto run = engine.Run(BinaryTriangleChain(), db);
+  const auto expr = BinaryTriangleChain();
+  auto priced = Engine(EngineOptions{}.WithMultiway()).Plan(expr, db);
+  ASSERT_TRUE(priced.ok()) << priced.error();
+  EXPECT_TRUE(RoutedToMultiway(*priced));
+
+  auto schema_only = Engine(EngineOptions{}.WithMultiway()).Plan(expr, db.schema());
+  ASSERT_TRUE(schema_only.ok()) << schema_only.error();
+  EXPECT_FALSE(RoutedToMultiway(*schema_only));
+  EXPECT_FALSE(schema_only->has_agm_bound);
+
+  const Engine reference(EngineOptions::Reference().WithMultiway());
+  auto run = reference.Run(expr, db);
   ASSERT_TRUE(run.ok()) << run.error();
-  auto reference = Engine(EngineOptions::Reference()).Run(BinaryTriangleChain(), db);
-  ASSERT_TRUE(reference.ok()) << reference.error();
-  EXPECT_EQ(run->relation, reference->relation);
+  EXPECT_FALSE(run->stats.has_agm_bound);
+  EXPECT_TRUE(run->stats.rewrites.empty());
+  EXPECT_TRUE(run->stats.choices.empty());
+  auto routed = Engine(EngineOptions{}.WithMultiway()).Run(expr, db);
+  ASSERT_TRUE(routed.ok()) << routed.error();
+  EXPECT_EQ(run->relation, routed->relation);
 }
 
 TEST(MultiwayPlanner, UniformDataKeepsTheBinaryPlan) {
@@ -360,7 +370,7 @@ TEST(MultiwayPlanner, UniformDataKeepsTheBinaryPlan) {
   // bound, so the chain is priced but the written plan survives.
   const auto db = ThreeBinaryDb(RandomEdges(200, 40, 61), RandomEdges(200, 40, 62),
                                 RandomEdges(200, 40, 63));
-  const Engine engine(EngineOptions::CostBased().WithMultiway());
+  const Engine engine(EngineOptions{}.WithMultiway());
   auto plan = engine.Plan(BinaryTriangleChain(), db);
   ASSERT_TRUE(plan.ok()) << plan.error();
   EXPECT_TRUE(plan->has_agm_bound);  // Priced even when not routed.
@@ -378,7 +388,7 @@ TEST(MultiwayPlanner, InteriorSelectionBecomesVariableMerge) {
   const auto expr = ra::Join(
       ra::SelectEq(ra::Product(ra::Rel("R", 2), ra::Rel("S", 2)), 2, 3),
       ra::Rel("T", 2), {{4, ra::Cmp::kEq, 1}, {1, ra::Cmp::kEq, 2}});
-  const Engine engine(EngineOptions::CostBased().WithMultiway());
+  const Engine engine(EngineOptions{}.WithMultiway());
   auto plan = engine.Plan(expr, db);
   ASSERT_TRUE(plan.ok()) << plan.error();
   EXPECT_TRUE(RoutedToMultiway(*plan));
@@ -397,7 +407,7 @@ TEST(MultiwayPlanner, InteriorProjectionIsPruned) {
       ra::Project(ra::Join(ra::Rel("R", 2), ra::Rel("S", 2), {{2, ra::Cmp::kEq, 1}}),
                   {1, 2, 4}),
       ra::Rel("T", 2), {{3, ra::Cmp::kEq, 1}, {1, ra::Cmp::kEq, 2}});
-  const Engine engine(EngineOptions::CostBased().WithMultiway());
+  const Engine engine(EngineOptions{}.WithMultiway());
   auto plan = engine.Plan(expr, db);
   ASSERT_TRUE(plan.ok()) << plan.error();
   EXPECT_TRUE(RoutedToMultiway(*plan));

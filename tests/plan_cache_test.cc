@@ -11,7 +11,8 @@
 // options. The harness interleaves randomized database mutations
 // (in-place inserts, deletes, bulk loads) with repeated prepared and
 // transparently-cached executions and checks that identity after every
-// mutation, across Reference/planned/CostBased × threads {1, 2, 7}.
+// mutation, across {reference, the default policy, a forced division
+// algorithm} × threads {1, 2, 7}.
 //
 // Like tests/batch_exec_test.cc, the suite reads SETALG_BATCH_SEED
 // (default 1) as the base of its seed range; CI runs it under ASan/UBSan
@@ -136,10 +137,14 @@ struct Mode {
   EngineOptions options;
 };
 
+// The forced mode keeps the division override honest under revalidation:
+// its algorithm must survive every re-costing.
 std::vector<Mode> AllModes() {
+  EngineOptions forced;
+  forced.division_algorithm = setjoin::DivisionAlgorithm::kAggregate;
   return {{"reference", EngineOptions::Reference()},
-          {"planned", EngineOptions{}},
-          {"cost-based", EngineOptions::CostBased()}};
+          {"default", EngineOptions{}},
+          {"forced-aggregate", forced}};
 }
 
 // ---------------------------------------------------------------------------
@@ -193,6 +198,11 @@ TEST(PlanCache, CacheDifferentialUnderRandomizedMutations) {
             auto want = fresh.Run(exprs[i], db);
             ASSERT_TRUE(want.ok()) << context << ": " << want.error();
             ASSERT_EQ(want->stats.cache, CacheOutcome::kUncached);
+            if (options.division_algorithm && i < 2) {  // The division shapes.
+              EXPECT_NE(want->stats.ops.back().label.find("[aggregate]"),
+                        std::string::npos)
+                  << context << ": " << want->stats.ops.back().label;
+            }
 
             // First cached touch after the mutation: transparent path.
             auto through_cache = cached.Run(exprs[i], db);
@@ -238,9 +248,7 @@ TEST(PlanCache, CacheDifferentialUnderRandomizedMutations) {
 TEST(PlanCache, OutcomeTransitionsAcrossMutations) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}, {3, 20}}), MakeRel(1, {{10}, {20}}));
-  EngineOptions options = EngineOptions::CostBased();
-  options = options.WithPlanCache(4);
-  const Engine engine(options);
+  const Engine engine(EngineOptions{}.WithPlanCache(4));
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
   auto first = engine.Run(expr, db);
@@ -311,10 +319,8 @@ TEST(PlanCache, BulkLoadRepicksTheDivisionAlgorithmInPlace) {
   // Tiny instance: the cost model picks a small-input algorithm.
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}}), MakeRel(1, {{10}, {20}}));
-  EngineOptions options = EngineOptions::CostBased();
-  options = options.WithPlanCache(4);
-  const Engine engine(options);
-  const Engine fresh(EngineOptions::CostBased());
+  const Engine engine(EngineOptions{}.WithPlanCache(4));
+  const Engine fresh;
   const auto expr = setjoin::ClassicDivisionExpr("R", "S");
 
   auto handle = engine.Prepare(expr, db);
@@ -370,9 +376,7 @@ TEST(PlanCache, RepickRechargesTheByteAccounting) {
   // (after which a byte-budgeted cache evicts everything forever).
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}}), MakeRel(1, {{10}, {20}}));
-  EngineOptions options = EngineOptions::CostBased();
-  options = options.WithPlanCache(1);
-  const Engine engine(options);
+  const Engine engine(EngineOptions{}.WithPlanCache(1));
   const auto division = setjoin::ClassicDivisionExpr("R", "S");
 
   auto handle = engine.Prepare(division, db);
@@ -764,11 +768,11 @@ TEST(SharedPlanCacheTest, SharedAcrossEnginesWithProvenance) {
   auto db = setalg::testing::DivisionDb(
       MakeRel(2, {{1, 10}, {1, 20}, {2, 10}}), MakeRel(1, {{10}, {20}}));
   const auto shared = std::make_shared<SharedPlanCache>(8, 0);
-  EngineOptions options = EngineOptions::CostBased();
+  EngineOptions options;
   options.plan_cache = shared;
   const Engine a(options);
   const Engine b(options);
-  const Engine fresh(EngineOptions::CostBased());
+  const Engine fresh;
 
   const auto division = setjoin::ClassicDivisionExpr("R", "S");
   auto miss = a.Run(division, db);
@@ -815,7 +819,7 @@ TEST(CacheVersionOrderTest, OlderSnapshotReaderLeavesNewerEntriesResident) {
   const txn::SnapshotPtr v1 =
       head.SetRelation("R", workload::UniformBinaryRelation(200, 5, BaseSeed() * 3 + 1));
   const auto division = setjoin::ClassicDivisionExpr("R", "S");
-  const Engine fresh(EngineOptions::CostBased());
+  const Engine fresh;
 
   // Runs `division` on `snap`, checks it against a cache-free run and
   // returns the cache outcome.
@@ -835,7 +839,7 @@ TEST(CacheVersionOrderTest, OlderSnapshotReaderLeavesNewerEntriesResident) {
 
   // Plan cache alone: the v0 reader re-costs a private copy, and the v1
   // entry stays warm for the next v1 reader.
-  const Engine planned(EngineOptions::CostBased().WithPlanCache(4));
+  const Engine planned(EngineOptions{}.WithPlanCache(4));
   EXPECT_EQ(run_on(planned, *v1, "plans v1"), CacheOutcome::kMiss);
   EXPECT_TRUE(revalidated(run_on(planned, *v0, "plans v0")));
   EXPECT_EQ(run_on(planned, *v1, "plans v1 again"), CacheOutcome::kHit);
@@ -847,7 +851,7 @@ TEST(CacheVersionOrderTest, OlderSnapshotReaderLeavesNewerEntriesResident) {
   // Both caches: the v0 reader misses the result cache without erasing
   // the v1 result, and its own result is not stored over it.
   const auto results = std::make_shared<ResultCache>(4, 0);
-  const Engine both(EngineOptions::CostBased().WithSharedCaches(
+  const Engine both(EngineOptions{}.WithSharedCaches(
       std::make_shared<SharedPlanCache>(4, 0), results));
   EXPECT_EQ(run_on(both, *v1, "both v1"), CacheOutcome::kMiss);
   EXPECT_EQ(run_on(both, *v1, "both v1 replay"), CacheOutcome::kResultHit);
@@ -879,7 +883,7 @@ TEST(PlanCacheConcurrencyTest, OneEngineManyThreadsMatchesCacheFreeRuns) {
   const txn::VersionedDatabase head(setalg::testing::RandomDatabase(schema, 60, 12, seed));
   const txn::SnapshotPtr snap = head.snapshot();
 
-  const Engine fresh(EngineOptions::CostBased());
+  const Engine fresh;
   std::vector<RunResult> want;
   for (const auto& expr : exprs) {
     auto run = fresh.Run(expr, *snap);
@@ -887,7 +891,7 @@ TEST(PlanCacheConcurrencyTest, OneEngineManyThreadsMatchesCacheFreeRuns) {
     want.push_back(std::move(*run));
   }
 
-  const Engine engine(EngineOptions::CostBased().WithPlanCache(4));
+  const Engine engine(EngineOptions{}.WithPlanCache(4));
   // Every thread starts its first run together, so the first lookups of
   // each expression race for real.
   std::latch start(kThreads);

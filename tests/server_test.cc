@@ -109,11 +109,11 @@ struct ServerFixture {
 
 TEST(ServerTest, AdHocParityWithLocalEngine) {
   const std::uint64_t seed = BaseSeed();
-  ServerFixture fixture(engine::EngineOptions::CostBased(), seed);
+  ServerFixture fixture(engine::EngineOptions{}, seed);
   auto client = server::Client::Connect("127.0.0.1", fixture.port);
   ASSERT_TRUE(client.ok()) << client.error();
 
-  const engine::Engine local{engine::EngineOptions::CostBased()};
+  const engine::Engine local;
   const auto snapshot = fixture.head->snapshot();
   for (const auto& statement : SoakStatements()) {
     auto response = client->Roundtrip("QUERY " + statement);
@@ -136,7 +136,7 @@ TEST(ServerTest, AdHocParityWithLocalEngine) {
 
 TEST(ServerTest, PrepareExecuteAndRevalidationAcrossCommits) {
   const std::uint64_t seed = BaseSeed();
-  ServerFixture fixture(engine::EngineOptions::CostBased(), seed);
+  ServerFixture fixture(engine::EngineOptions{}, seed);
   auto client = server::Client::Connect("127.0.0.1", fixture.port);
   ASSERT_TRUE(client.ok()) << client.error();
 
@@ -166,7 +166,7 @@ TEST(ServerTest, PrepareExecuteAndRevalidationAcrossCommits) {
   EXPECT_EQ(after->header.version, published->version());
   EXPECT_NE(after->header.digest, executed->header.digest);
 
-  const engine::Engine local{engine::EngineOptions::CostBased()};
+  const engine::Engine local;
   auto replay = local.Run(MustCompile(statement, published->schema()),
                           *published);
   ASSERT_TRUE(replay.ok());
@@ -227,7 +227,7 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
   constexpr int kStatementsPerClient = 48;
   constexpr int kCommits = 40;
 
-  ServerFixture fixture(engine::EngineOptions::CostBased(), seed);
+  ServerFixture fixture(engine::EngineOptions{}, seed);
   const auto statements = SoakStatements();
 
   // version -> snapshot published under it, maintained by the writer.
@@ -367,7 +367,7 @@ TEST(ServerTest, ConcurrencySoakReplaysBitIdentical) {
   ASSERT_TRUE(failures.empty()) << failures.front();
 
   // Serial replay: no shared caches, no plan cache, fresh engine.
-  const engine::Engine replayer{engine::EngineOptions::CostBased()};
+  const engine::Engine replayer;
   const core::Schema& schema = fixture.head->snapshot()->schema();
   std::map<std::string, ra::ExprPtr> compiled;
   for (const auto& statement : statements) {

@@ -88,7 +88,6 @@ struct ModeConfig {
 std::vector<ModeConfig> Modes() {
   return {
       {"reference", engine::EngineOptions::Reference()},
-      {"cost", engine::EngineOptions::CostBased()},
       {"planned", engine::EngineOptions{}},
       {"parallel2", engine::EngineOptions{}.WithThreads(2)},
   };
@@ -116,8 +115,7 @@ TEST(SqlDifferential, FuzzAgainstHandBuiltLowerings) {
 
   for (const auto& [mode, options] : Modes()) {
     for (const std::size_t cache_entries : {std::size_t{0}, std::size_t{8}}) {
-      const engine::Engine engine(
-          options.WithPlanCache(cache_entries));
+      const engine::Engine engine(options.WithPlanCache(cache_entries));
       for (std::size_t i = 0; i < pairs.size(); ++i) {
         const auto& pair = pairs[i];
         const std::string context = "pair " + std::to_string(i) + " [" +
@@ -147,7 +145,7 @@ TEST(SqlDifferential, FuzzAgainstHandBuiltLowerings) {
         if (pair.compare_stats) {
           ExpectSameStats(from_ra->stats, from_sql->stats, context);
         }
-        if (mode == "cost" && cache_entries == 0) {
+        if (mode == "planned" && cache_entries == 0) {
           if (!from_sql->relation.empty()) ++nonempty_results;
           if (pair.family == "division" &&
               HasRewrite(from_sql->stats, "division pattern")) {
@@ -183,8 +181,7 @@ TEST(SqlDifferential, TriangleRoutesToMultiwayJoin) {
   ASSERT_TRUE(ra::StructuralEqual(**lowered, *pair.expr))
       << (*lowered)->ToString();
 
-  const engine::Engine multiway(
-      engine::EngineOptions::CostBased().WithMultiway());
+  const engine::Engine multiway(engine::EngineOptions{}.WithMultiway());
   auto from_sql = multiway.Run(*lowered, db);
   auto from_ra = multiway.Run(pair.expr, db);
   ASSERT_TRUE(from_sql.ok()) << from_sql.error();
@@ -196,7 +193,7 @@ TEST(SqlDifferential, TriangleRoutesToMultiwayJoin) {
   ExpectSameStats(from_ra->stats, from_sql->stats, "triangle multiway");
 
   // And the binary baseline agrees on the result.
-  const engine::Engine binary(engine::EngineOptions::CostBased());
+  const engine::Engine binary;
   auto baseline = binary.Run(*lowered, db);
   ASSERT_TRUE(baseline.ok()) << baseline.error();
   EXPECT_EQ(baseline->relation, from_sql->relation);
@@ -211,7 +208,7 @@ TEST(SqlDifferential, GuardedFragmentPairsAgreeOnResults) {
   const std::uint64_t seed = BaseSeed();
   const core::Database db = workload::SqlWorkloadDatabase(seed);
   const auto pairs = workload::MakeSqlWorkload({/*count=*/500, seed});
-  const engine::Engine engine{engine::EngineOptions::CostBased()};
+  const engine::Engine engine;
   std::size_t gf_pairs = 0;
   for (const auto& pair : pairs) {
     if (pair.family != "gfdiv") continue;
@@ -351,7 +348,7 @@ TEST(SqlDivision, ForAllIdiomRoutesThroughDivisionRewrite) {
       schema);
   ASSERT_TRUE(compiled.ok()) << compiled.error();
 
-  const engine::Engine engine{engine::EngineOptions::CostBased()};
+  const engine::Engine engine;
   auto run = engine.Run(*compiled, db);
   ASSERT_TRUE(run.ok()) << run.error();
   EXPECT_TRUE(HasRewrite(run->stats, "division pattern"))

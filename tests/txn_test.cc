@@ -246,8 +246,8 @@ TEST(SnapshotTest, SnapshotRunsMatchPlainDatabase) {
   VersionedDatabase head(db);
   const SnapshotPtr snap = head.snapshot();
 
-  const engine::Engine plain(engine::EngineOptions::CostBased());
-  const engine::Engine mvcc(engine::EngineOptions::CostBased());
+  const engine::Engine plain;
+  const engine::Engine mvcc;
   for (const auto& expr : QueryFamily(db.schema(), seed)) {
     auto want = plain.Run(expr, db);
     auto got = mvcc.Run(expr, *snap);
@@ -327,7 +327,7 @@ struct StressMode {
 };
 
 std::vector<StressMode> StressModes() {
-  StressMode cost{"cost-based", engine::EngineOptions::CostBased()};
+  StressMode cost{"cost-based", engine::EngineOptions{}};
   StressMode batched{"planned-batched", engine::EngineOptions{}};
   batched.options.batch_size = 64;
   return {std::move(cost), std::move(batched)};
@@ -437,7 +437,9 @@ TEST(TxnStressTest, ConcurrentReadsMatchSerialReplay) {
 // Partitioned execution on a snapshot: every query family member over a
 // plain VersionedDatabase snapshot — serial, 2 and 7 threads — must be
 // bit-identical to the serial run over the core::Database it was seeded
-// from, and the multi-threaded runs must actually fan out.
+// from, and the multi-threaded runs must actually fan out. The plans come
+// from the schema alone: priced planning keeps inputs this small serial,
+// while the unpriced fallback fans out pool-wide.
 TEST(SnapshotTest, PartitionedRunsMatchSerialAcrossThreads) {
   const std::uint64_t seed = BaseSeed();
   const core::Schema schema = DivisionSchema();
@@ -455,7 +457,9 @@ TEST(SnapshotTest, PartitionedRunsMatchSerialAcrossThreads) {
     std::size_t partitions = 0;
     for (std::size_t q = 0; q < exprs.size(); ++q) {
       auto want = reference.Run(exprs[q], db);
-      auto got = engine.Run(exprs[q], *snap);
+      auto plan = engine.Plan(exprs[q], snap->schema());
+      ASSERT_TRUE(plan.ok()) << plan.error();
+      auto got = engine.Run(*plan, *snap);
       ASSERT_TRUE(want.ok()) << want.error();
       ASSERT_TRUE(got.ok()) << got.error();
       const std::string context =
